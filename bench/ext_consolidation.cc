@@ -144,11 +144,16 @@ run(bool use_mitosis, bool pcid)
 
     // Round-robin slices: each tenant runs a burst of operations, then
     // the next tenant's dispatch context-switches the shared core.
+    // Time-shared contexts replay op by op, so a slice is one batch.
+    std::vector<os::BatchOp> slice;
     auto rounds = [&](std::uint64_t n) {
         for (std::uint64_t r = 0; r < n; ++r) {
             for (auto &t : tenants) {
-                for (std::uint64_t s = 0; s < StepsPerSlice; ++s)
-                    t.work->step(*t.ctx, 0);
+                slice.clear();
+                bool generated = t.work->stepBatch(
+                    0, static_cast<unsigned>(StepsPerSlice), slice);
+                MITOSIM_ASSERT(generated, "stepBatch generated nothing");
+                t.ctx->runBatch(0, slice.data(), slice.size());
             }
         }
     };
@@ -189,8 +194,9 @@ run(bool use_mitosis, bool pcid)
         kernel.finalizeProcess(*t.proc);
     // Under MITOSIM_CHECK=1 CI runs this bench and asserts that the
     // report's "check" section shows zero violations per job. Host
-    // stats stay off: this bench drives step() directly, outside the
-    // harness populate/replay path the host counters describe.
+    // stats stay off: this bench drives stepBatch()/runBatch()
+    // directly, outside the harness populate/replay path the host
+    // counters describe.
     recordJobStats(kernel, res, {.sched = true, .host = false});
     return res;
 }

@@ -29,20 +29,6 @@ namespace mitosim::os
 {
 
 /**
- * One recorded workload action (sharded simulation, phase A): either a
- * memory access or a compute charge by logical thread @p tid. The
- * index of an op in the trace is the global serial order.
- */
-struct TraceOp
-{
-    VirtAddr va = 0;
-    Cycles cycles = 0; //!< compute ops: the charged amount
-    std::int32_t tid = 0;
-    bool isWrite = false;
-    bool isCompute = false;
-};
-
-/**
  * One pre-generated workload operation for the batched stepping path:
  * workloads emit short runs of these into a per-thread buffer
  * (Workload::stepBatch) and ExecContext::runBatch consumes the run in
@@ -113,12 +99,6 @@ class ExecContext
     Cycles
     access(int tid, VirtAddr va, bool is_write)
     {
-        if (trace_) {
-            // Recording (sharded phase A): log the op, touch nothing.
-            // No workload consumes the returned latency, so 0 is safe.
-            trace_->push_back(TraceOp{va, 0, tid, is_write, false});
-            return 0;
-        }
         auto &pc = counters[static_cast<std::size_t>(tid)];
         Scheduler &sched = k.scheduler();
         Cycles c;
@@ -141,10 +121,6 @@ class ExecContext
     void
     compute(int tid, Cycles c)
     {
-        if (trace_) {
-            trace_->push_back(TraceOp{0, c, tid, false, true});
-            return;
-        }
         auto &pc = counters[static_cast<std::size_t>(tid)];
         Scheduler &sched = k.scheduler();
         if (sched.timeShared()) {
@@ -158,30 +134,29 @@ class ExecContext
     }
 
     /**
-     * Replay @p n pre-generated ops for thread @p tid.
+     * Replay @p n pre-generated ops for thread @p tid, along one of two
+     * paths with identical simulated outcomes.
      *
-     * Semantically identical to calling access()/compute() once per op
-     * in order — and when tracing or time-sharing it literally does
-     * that, so TraceOp recording and scheduler dispatch points stay
-     * byte-identical. In the pinned steady state it instead hoists the
-     * per-op mode checks, the counter lookup and the core lookup out
-     * of the loop: nothing hoisted can change mid-batch there (threads
-     * never migrate cores in pinned mode, and fault handlers do not
-     * flip scheduler modes), so the simulated outcome is unchanged.
+     * The reference loop calls access()/compute() once per op. It runs
+     * under time-sharing (scheduler dispatch points stay per-op), with
+     * the event tracer enabled (every op emits its own events) and
+     * whenever fusion is off (MITOSIM_FUSE=0).
      *
-     * Pinned runs with THP ticks active fuse too: each accessRun call
-     * gets the cycles remaining until the next daemon tick as a budget
-     * and ends at the op that crosses it, after which noteThpCycles
-     * fires the tick — the exact op boundary where the per-op path
-     * would have run it (see Core::accessRun). With fusion disabled
-     * (MITOSIM_FUSE=0) tick runs take the literal per-op path.
+     * Otherwise the fused loop hoists the per-op mode checks, the
+     * counter lookup and the core lookup out of the loop — nothing
+     * hoisted can change mid-batch, as pinned threads never migrate
+     * cores and fault handlers do not flip scheduler modes — and
+     * replays each maximal same-page run with one Core::accessRun call
+     * (exact; see accessRun). With THP ticks active, each call gets the
+     * cycles remaining until the next daemon tick as a budget and ends
+     * at the op that crosses it, after which noteThpCycles fires the
+     * tick: the exact op boundary where the reference loop runs it.
      */
     void
     runBatch(int tid, const BatchOp *ops, std::size_t n)
     {
-        if (trace_ || k.scheduler().timeShared() ||
-            k.machine().tracer().enabled() ||
-            (thpTickPeriod != 0 && !sim::fuseEnabled())) {
+        if (k.scheduler().timeShared() || k.machine().tracer().enabled() ||
+            !sim::fuseEnabled()) {
             for (std::size_t i = 0; i < n; ++i) {
                 if (ops[i].isCompute)
                     compute(tid, ops[i].cycles);
@@ -192,56 +167,26 @@ class ExecContext
         }
         auto &pc = counters[static_cast<std::size_t>(tid)];
         sim::Core &core = k.machine().core(coreOf(tid));
-        if (thpTickPeriod != 0) {
-            // Tick-aware fusion: noteThpCycles keeps thpTickCredit
-            // strictly below thpTickPeriod, so the budget is always
-            // positive and accessRun stops on (and consumes) exactly
-            // the op whose charge crosses the tick boundary. pc.cycles
-            // advances by precisely the sum the per-op path would have
-            // passed to noteThpCycles op by op, so measuring its delta
-            // fires ticks at identical points. Computes outside a run
-            // tick individually, as in the per-op path.
-            std::size_t i = 0;
-            while (i < n) {
-                if (ops[i].isCompute) {
-                    pc.cycles += ops[i].cycles;
-                    pc.computeCycles += ops[i].cycles;
-                    noteThpCycles(ops[i].cycles);
-                    ++i;
-                    continue;
-                }
-                Cycles before = pc.cycles;
-                i += core.accessRun(ops + i, n - i, pc,
-                                    thpTickPeriod - thpTickCredit);
-                noteThpCycles(pc.cycles - before);
-            }
-            return;
-        }
-        if (sim::fuseEnabled()) {
-            // Run fusion: each accessRun call replays one maximal run
-            // of same-page ops with a single real TLB probe and one
-            // real cache probe per distinct line (exact — see
-            // Core::accessRun). Leading computes are charged here so
-            // every accessRun starts on an access.
-            std::size_t i = 0;
-            while (i < n) {
-                if (ops[i].isCompute) {
-                    pc.cycles += ops[i].cycles;
-                    pc.computeCycles += ops[i].cycles;
-                    ++i;
-                    continue;
-                }
-                i += core.accessRun(ops + i, n - i, pc);
-            }
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
+        // noteThpCycles keeps thpTickCredit strictly below
+        // thpTickPeriod, so a tick budget is always positive (0 means
+        // unlimited). pc.cycles advances by precisely the sum the
+        // reference loop passes to noteThpCycles op by op, so measuring
+        // its delta fires ticks at identical points. Computes outside a
+        // run are charged here, so every accessRun starts on an access.
+        std::size_t i = 0;
+        while (i < n) {
             if (ops[i].isCompute) {
                 pc.cycles += ops[i].cycles;
                 pc.computeCycles += ops[i].cycles;
-            } else {
-                core.access(ops[i].va, ops[i].isWrite, pc);
+                noteThpCycles(ops[i].cycles);
+                ++i;
+                continue;
             }
+            Cycles before = pc.cycles;
+            i += core.accessRun(
+                ops + i, n - i, pc,
+                thpTickPeriod ? thpTickPeriod - thpTickCredit : 0);
+            noteThpCycles(pc.cycles - before);
         }
     }
 
@@ -301,20 +246,6 @@ class ExecContext
             pc = sim::PerfCounters{};
     }
 
-    /**
-     * Route access()/compute() into @p sink instead of the machine
-     * (sharded phase A). The caller owns the vector and must call
-     * endTrace() before any real simulation resumes.
-     */
-    void beginTrace(std::vector<TraceOp> *sink) { trace_ = sink; }
-    void endTrace() { trace_ = nullptr; }
-    bool tracing() const { return trace_ != nullptr; }
-
-    /** Are THP daemon ticks tied to this context's clock? (Such runs
-     *  are ineligible for sharding: ticks mutate shared state at
-     *  cycle-dependent points.) */
-    bool thpTicksEnabled() const { return thpTickPeriod != 0; }
-
     Kernel &kernel() { return k; }
     Process &process() { return proc_; }
 
@@ -336,7 +267,6 @@ class ExecContext
     std::vector<sim::PerfCounters> counters;
     Cycles thpTickPeriod = 0; //!< 0 = no daemon ticks from this context
     Cycles thpTickCredit = 0;
-    std::vector<TraceOp> *trace_ = nullptr; //!< non-null: recording
 };
 
 } // namespace mitosim::os

@@ -3,13 +3,13 @@
  * The batched-replay operation record and the run-fusion gate.
  *
  * Workloads pre-generate short runs of BatchOp into per-thread buffers
- * (Workload::stepBatch) and ExecContext::runBatch replays them. On the
- * pinned steady-state fast path the replay additionally *fuses*
- * maximal runs of consecutive same-page accesses (Core::accessRun):
- * one real TLB probe and one real cache probe per distinct line, with
- * the remainder charged in bulk. Fusion is exact — see accessRun —
- * and MITOSIM_FUSE=0 restores the per-op reference path so CI can
- * diff the two for byte-identical reports.
+ * (Workload::stepBatch) and ExecContext::runBatch replays them along
+ * one of two paths. The default pinned path *fuses* maximal runs of
+ * consecutive same-page accesses (Core::accessRun): one real TLB probe
+ * and one real cache probe per distinct line, with the remainder
+ * charged in bulk. Fusion is exact — see accessRun — and
+ * MITOSIM_FUSE=0 selects the other path, the per-op reference loop,
+ * so CI can diff the two for byte-identical reports.
  */
 
 #ifndef MITOSIM_SIM_BATCH_OP_H
@@ -34,10 +34,8 @@ struct BatchOp
 
 /**
  * Host-side toggle for run fusion inside ExecContext::runBatch. On by
- * default; MITOSIM_FUSE=0 forces the per-op replay loop (while still
- * honouring MITOSIM_BATCH for the batching layer underneath). Read
- * once from the environment: flipping it mid-run is not a supported
- * mode.
+ * default; MITOSIM_FUSE=0 forces the per-op reference loop. Read once
+ * from the environment: flipping it mid-run is not a supported mode.
  */
 bool fuseEnabled();
 

@@ -31,14 +31,13 @@ class BTree : public Workload
         return std::unique_ptr<Workload>(new BTree(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
     int depth() const { return static_cast<int>(levelBase.size()); }
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     static constexpr std::uint64_t NodeBytes = 256; //!< 4 cache lines
     static constexpr std::uint64_t Fanout = 16;

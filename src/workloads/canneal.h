@@ -31,12 +31,11 @@ class Canneal : public Workload
         return std::unique_ptr<Workload>(new Canneal(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     static constexpr std::uint64_t ElementBytes = 128;
     static constexpr unsigned NeighbourReads = 2;

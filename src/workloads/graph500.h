@@ -30,12 +30,11 @@ class Graph500 : public Workload
         return std::unique_ptr<Workload>(new Graph500(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     static constexpr std::uint64_t AvgDegree = 16;
     static constexpr std::uint64_t EdgeBytes = 8;

@@ -30,12 +30,11 @@ class Gups : public Workload
         return std::unique_ptr<Workload>(new Gups(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     VirtAddr base = 0;
     std::uint64_t words = 0;

@@ -31,9 +31,8 @@ HashJoin::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-HashJoin::genStep(Sink &sink, int tid)
+HashJoin::genStep(detail::BufSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
 
@@ -48,13 +47,6 @@ HashJoin::genStep(Sink &sink, int tid)
     std::uint64_t tuple = rng.below(numTuples);
     sink.access(tuples + tuple * TupleBytes, false);
     sink.compute(8); // hash + key compare
-}
-
-void
-HashJoin::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
 }
 
 bool

@@ -31,12 +31,11 @@ class LibLinear : public Workload
         return std::unique_ptr<Workload>(new LibLinear(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     static constexpr std::uint64_t SampleBytes = 512; //!< 8 lines/sample
     static constexpr unsigned SparseUpdates = 3;

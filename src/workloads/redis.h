@@ -29,12 +29,11 @@ class Redis : public Workload
         return std::unique_ptr<Workload>(new Redis(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     static constexpr std::uint64_t EntryBytes = 64;
     static constexpr std::uint64_t ObjBytes = 64;

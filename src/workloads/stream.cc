@@ -33,9 +33,8 @@ Stream::setup(os::ExecContext &ctx)
     }
 }
 
-template <class Sink>
 void
-Stream::genStep(Sink &sink, int tid)
+Stream::genStep(detail::BufSink &sink, int tid)
 {
     auto &pos = cursor[static_cast<std::size_t>(tid)];
     VirtAddr off = pos * sizeof(std::uint64_t);
@@ -44,13 +43,6 @@ Stream::genStep(Sink &sink, int tid)
     sink.access(a + off, true);
     sink.compute(2);
     pos = (pos + 1) % words;
-}
-
-void
-Stream::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
 }
 
 bool

@@ -31,12 +31,11 @@ class Stream : public Workload
         return std::unique_ptr<Workload>(new Stream(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     VirtAddr a = 0;
     VirtAddr b = 0;

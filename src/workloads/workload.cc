@@ -1,11 +1,8 @@
 #include "workload.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "src/base/logging.h"
-#include "src/sim/sharded.h"
-#include "src/workloads/sharded_engine.h"
 #include "src/workloads/btree.h"
 #include "src/workloads/canneal.h"
 #include "src/workloads/graph500.h"
@@ -20,32 +17,6 @@
 
 namespace mitosim::workloads
 {
-
-namespace
-{
-
-/** setBatchEnabledForTest() override; -1 defers to the environment. */
-int batchOverride = -1;
-
-} // namespace
-
-bool
-batchEnabled()
-{
-    if (batchOverride >= 0)
-        return batchOverride != 0;
-    static const bool on = [] {
-        const char *e = std::getenv("MITOSIM_BATCH");
-        return e == nullptr || *e != '0';
-    }();
-    return on;
-}
-
-void
-setBatchEnabledForTest(int enabled)
-{
-    batchOverride = enabled;
-}
 
 namespace
 {
@@ -69,11 +40,6 @@ Workload::populateRegion(os::ExecContext &ctx, VirtAddr start,
     // runBatch. (Shuffled cannot: its *cross-thread* touch order is
     // what decides first-touch placement, and runBatch is per-thread.)
     auto touch_range = [&](int t, std::uint64_t lo, std::uint64_t hi) {
-        if (!batchEnabled()) {
-            for (std::uint64_t p = lo; p < hi; ++p)
-                ctx.access(t, start + p * granule, true);
-            return;
-        }
         std::vector<os::BatchOp> buf;
         buf.reserve(static_cast<std::size_t>(
             std::min(hi - lo, PopulateBatch)));
@@ -127,21 +93,8 @@ runInterleaved(os::ExecContext &ctx, Workload &w,
     int threads = ctx.numThreads();
     MITOSIM_ASSERT(threads > 0, "runInterleaved with no threads");
 
-    // --sim-threads > 1: shard the simulation across host threads when
-    // the run is eligible (byte-identical by construction). A context
-    // already recording is mid-phase-A of an outer sharded call.
-    int nshards = sim::simThreads();
-    if (nshards > 1 && !ctx.tracing() && shardedEligible(ctx)) {
-        runInterleavedSharded(ctx, w, ops_per_thread, chunk, nshards);
-        return;
-    }
-
-    // Batched hot path: each chunk is generated into a per-call buffer
-    // by one virtual stepBatch() call and replayed by runBatch() with
-    // the per-op mode checks hoisted — same ops in the same global
-    // order as the per-op loop below. Workloads without a batched
-    // generator (stepBatch returns false) drop to the reference loop.
-    bool batching = batchEnabled();
+    // Each chunk is generated into a per-call buffer by one virtual
+    // stepBatch() call and replayed by one runBatch() call.
     std::vector<os::BatchOp> buf;
 
     std::vector<std::uint64_t> done(static_cast<std::size_t>(threads), 0);
@@ -152,17 +105,14 @@ runInterleaved(os::ExecContext &ctx, Workload &w,
             auto &d = done[static_cast<std::size_t>(t)];
             std::uint64_t end = std::min<std::uint64_t>(ops_per_thread,
                                                         d + chunk);
-            if (batching && d < end) {
+            if (d < end) {
                 buf.clear();
-                if (w.stepBatch(t, static_cast<unsigned>(end - d), buf)) {
-                    ctx.runBatch(t, buf.data(), buf.size());
-                    d = end;
-                } else {
-                    batching = false;
-                }
+                bool generated =
+                    w.stepBatch(t, static_cast<unsigned>(end - d), buf);
+                MITOSIM_ASSERT(generated, "stepBatch generated nothing");
+                ctx.runBatch(t, buf.data(), buf.size());
+                d = end;
             }
-            for (; d < end; ++d)
-                w.step(ctx, t);
             if (d < ops_per_thread)
                 any = true;
         }

@@ -4,10 +4,11 @@
  * for the paper's big-memory applications (Table 1).
  *
  * A workload allocates simulated virtual memory, populates it with a
- * characteristic first-touch pattern, and then emits one "operation" per
- * step() call — a short dependent chain of loads/stores whose locality
- * structure matches the real application (random 8-byte updates for GUPS,
- * pointer chases for BTree/Redis, streaming sweeps for LibLinear, ...).
+ * characteristic first-touch pattern, and then generates "operations"
+ * (stepBatch) — each a short dependent chain of loads/stores whose
+ * locality structure matches the real application (random 8-byte
+ * updates for GUPS, pointer chases for BTree/Redis, streaming sweeps
+ * for LibLinear, ...).
  * Footprints are scaled from the paper's 17-480 GB to the simulated
  * machine (see DESIGN.md), preserving the footprint : TLB-reach : L3
  * ratios that drive the paper's results.
@@ -47,21 +48,6 @@ struct WorkloadParams
 
 namespace detail
 {
-
-/** step() sink: issue each generated op directly against the context. */
-struct CtxSink
-{
-    os::ExecContext &ctx;
-    int tid;
-
-    void
-    access(VirtAddr va, bool is_write)
-    {
-        ctx.access(tid, va, is_write);
-    }
-
-    void compute(Cycles c) { ctx.compute(tid, c); }
-};
 
 /** stepBatch() sink: defer generated ops into a BatchOp buffer. */
 struct BufSink
@@ -104,29 +90,16 @@ class Workload
      */
     virtual void setup(os::ExecContext &ctx) = 0;
 
-    /** Execute one operation on logical thread @p tid. */
-    virtual void step(os::ExecContext &ctx, int tid) = 0;
-
     /**
-     * Batched stepping: advance thread @p tid by @p nsteps operations,
-     * appending the ops each step() would have issued to @p out instead
-     * of executing them (the caller replays the run through
-     * ExecContext::runBatch). Identical to @p nsteps step() calls by
-     * construction: both entry points run the same generator body
-     * through a different sink (detail::CtxSink vs detail::BufSink).
-     * Deferred replay is legal because generators never consume the
-     * simulated access latency — they are pure RNG/cursor machines.
-     * @return false if this workload has no batched generator; the
-     * caller must then fall back to per-op step().
+     * Advance logical thread @p tid by @p nsteps operations, appending
+     * the ops they issue to @p out (the caller replays them through
+     * ExecContext::runBatch). Deferred replay is exact because
+     * generators never consume the simulated access latency — they
+     * are pure RNG/cursor machines.
+     * @return true; callers assert it.
      */
-    virtual bool
-    stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-    {
-        (void)tid;
-        (void)nsteps;
-        (void)out;
-        return false;
-    }
+    virtual bool stepBatch(int tid, unsigned nsteps,
+                           std::vector<os::BatchOp> &out) = 0;
 
     /** Reasonable per-thread operation count for benches. */
     virtual std::uint64_t defaultOps() const { return 100000; }
@@ -156,25 +129,11 @@ class Workload
 };
 
 /**
- * Host-side toggle for the batched hot path (generate a short run of
- * ops with Workload::stepBatch, replay through ExecContext::runBatch).
- * On by default; MITOSIM_BATCH=0 forces the per-op reference path so
- * CI can diff the two for byte-identical reports. Read once from the
- * environment: flipping it mid-run is not a supported mode.
- */
-bool batchEnabled();
-
-/**
- * Test-only override of batchEnabled(): 0 forces the per-op reference
- * path, 1 forces the batched path, -1 restores the environment
- * setting. The batched-stepping property test compares both paths in
- * one process; production code never calls this.
- */
-void setBatchEnabledForTest(int enabled);
-
-/**
  * Run @p ops_per_thread operations per thread, interleaved round-robin in
- * chunks so same-socket threads share cache state realistically.
+ * chunks so same-socket threads share cache state realistically. Each
+ * chunk is one stepBatch call replayed by one ExecContext::runBatch
+ * call, so the replay path (fused, or the MITOSIM_FUSE=0 reference
+ * loop) is runBatch's choice.
  */
 void runInterleaved(os::ExecContext &ctx, Workload &w,
                     std::uint64_t ops_per_thread, unsigned chunk = 32);

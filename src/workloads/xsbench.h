@@ -30,12 +30,11 @@ class XsBench : public Workload
         return std::unique_ptr<Workload>(new XsBench(*this));
     }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
     bool stepBatch(int tid, unsigned nsteps,
                    std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(detail::BufSink &sink, int tid);
 
     static constexpr std::uint64_t GridEntryBytes = 64;
     static constexpr std::uint64_t XsRowBytes = 64;

@@ -1,17 +1,18 @@
 /**
  * @file
- * Property tests for the batched stepping engine: replaying workload
- * ops through stepBatch()/runBatch() must be byte-identical to the
- * per-op reference loop — per-thread counters AND subsequent machine
- * state (caches, TLBs, A/D bits, page-table placement) — for every
- * batch size, across the full configuration cross product the hot
- * path specializes for: {gups, memcached, btree} x {native, mitosis}
- * x {4 KB, THP} x {pinned, time-shared}.
+ * Property tests for the replay engine: ExecContext::runBatch has two
+ * paths, the fused loop (the default) and the per-op reference loop
+ * (MITOSIM_FUSE=0), and they must be byte-identical — per-thread
+ * counters AND subsequent machine state (caches, TLBs, A/D bits,
+ * page-table placement) — for every batch size, across the full
+ * configuration cross product the fused path specializes for, and
+ * with kernel work (AutoNUMA hint faults, THP daemon ticks) landing
+ * mid-replay.
  *
- * Mirrors sharded_sim_test.cc: the serial continuation after the
- * compared phase proves machine-state convergence (divergent cache or
- * TLB contents would split the continuations' counters), and a
- * Figure 3-style page-table dump pins down PTE placement exactly.
+ * A per-op continuation after the compared phase proves machine-state
+ * convergence (divergent cache or TLB contents would split the
+ * continuations' counters), and a Figure 3-style page-table dump pins
+ * down PTE placement exactly.
  */
 
 #include <gtest/gtest.h>
@@ -23,19 +24,13 @@
 
 #include "bench/harness.h"
 #include "src/analysis/pt_dump.h"
+#include "src/base/rng.h"
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 namespace
 {
-
-/** Restore the environment-driven batch setting on scope exit. */
-struct BatchModeGuard
-{
-    explicit BatchModeGuard(int mode) { setBatchEnabledForTest(mode); }
-    ~BatchModeGuard() { setBatchEnabledForTest(-1); }
-};
 
 /** Restore the environment-driven fusion setting on scope exit. */
 struct FuseModeGuard
@@ -94,6 +89,12 @@ ptDumpOf(snapshot::Universe &u)
     return analyzer.snapshot(u.proc->roots()).str();
 }
 
+/**
+ * Fused replay against the per-op reference loop over real workload
+ * streams across backend x page size x scheduling (time-sharing must
+ * stay on the literal per-op path under either setting) x the
+ * interleaving granule.
+ */
 TEST(BatchedStepTest, ByteIdenticalToPerOpReference)
 {
     for (const char *wl : {"gups", "memcached", "btree"}) {
@@ -110,47 +111,45 @@ TEST(BatchedStepTest, ByteIdenticalToPerOpReference)
                     for (unsigned chunk : {1u, 7u, 32u}) {
                         SCOPED_TRACE("chunk=" + std::to_string(chunk));
 
-                        // Per-op reference: identical universe, same
-                        // interleaving granule, batching forced off.
                         auto ref = prepare(spec, mitosis);
                         {
-                            BatchModeGuard guard(0);
+                            FuseModeGuard fuse(0);
                             runInterleaved(*ref->ctx, *ref->workload,
                                            1200, chunk);
                         }
 
-                        auto bat = prepare(spec, mitosis);
+                        auto fus = prepare(spec, mitosis);
                         {
-                            BatchModeGuard guard(1);
-                            runInterleaved(*bat->ctx, *bat->workload,
+                            FuseModeGuard fuse(1);
+                            runInterleaved(*fus->ctx, *fus->workload,
                                            1200, chunk);
                         }
 
                         ASSERT_GT(ref->ctx->runtime(), 0u);
                         EXPECT_TRUE(
-                            countersMatch(*ref->ctx, *bat->ctx));
+                            countersMatch(*ref->ctx, *fus->ctx));
                         EXPECT_EQ(ref->ctx->runtime(),
-                                  bat->ctx->runtime());
+                                  fus->ctx->runtime());
 
                         // PTE placement (and A/D bits feeding it) must
                         // agree exactly, not just counters.
-                        EXPECT_EQ(ptDumpOf(*ref), ptDumpOf(*bat));
+                        EXPECT_EQ(ptDumpOf(*ref), ptDumpOf(*fus));
 
                         // Identical *per-op* continuations prove the
                         // cache/TLB/PWC state converged too.
                         {
-                            BatchModeGuard guard(0);
+                            FuseModeGuard fuse(0);
                             runInterleaved(*ref->ctx, *ref->workload,
                                            400, chunk);
-                            runInterleaved(*bat->ctx, *bat->workload,
+                            runInterleaved(*fus->ctx, *fus->workload,
                                            400, chunk);
                         }
                         EXPECT_TRUE(
-                            countersMatch(*ref->ctx, *bat->ctx))
+                            countersMatch(*ref->ctx, *fus->ctx))
                             << "(per-op continuation)";
 
                         ref->finalize();
-                        bat->finalize();
+                        fus->finalize();
                     }
                 }
             }
@@ -159,13 +158,13 @@ TEST(BatchedStepTest, ByteIdenticalToPerOpReference)
 }
 
 /**
- * Run fusion (Core::accessRun) must be byte-identical to the unfused
- * batched path for real replay streams. Exercised over the workloads
- * with the most same-page adjacency (streaming liblinear, xsbench's
- * grid gathers, btree's node scans) so fused runs actually form, and
- * over page-size x backend so both 4 KB and 2 MB run-break masks are
- * hit. Pinned mode only: time-sharing takes the literal per-op path
- * where fusion never engages.
+ * Run fusion (Core::accessRun) must be byte-identical to unfused
+ * (per-op) replay for real streams. Exercised over the workloads with
+ * the most same-page adjacency (streaming liblinear, xsbench's grid
+ * gathers, btree's node scans) so fused runs actually form, and over
+ * page-size x backend so both 4 KB and 2 MB run-break masks are hit.
+ * Pinned mode only: time-sharing takes the literal per-op path where
+ * fusion never engages.
  */
 TEST(BatchedStepTest, FusedReplayByteIdenticalToUnfused)
 {
@@ -182,7 +181,6 @@ TEST(BatchedStepTest, FusedReplayByteIdenticalToUnfused)
 
                     auto ref = prepare(spec, mitosis);
                     {
-                        BatchModeGuard batch(1);
                         FuseModeGuard fuse(0);
                         runInterleaved(*ref->ctx, *ref->workload, 1200,
                                        chunk);
@@ -190,7 +188,6 @@ TEST(BatchedStepTest, FusedReplayByteIdenticalToUnfused)
 
                     auto fus = prepare(spec, mitosis);
                     {
-                        BatchModeGuard batch(1);
                         FuseModeGuard fuse(1);
                         runInterleaved(*fus->ctx, *fus->workload, 1200,
                                        chunk);
@@ -205,7 +202,6 @@ TEST(BatchedStepTest, FusedReplayByteIdenticalToUnfused)
                     // cache/TLB state the fused path left behind
                     // converged, not just the counters.
                     {
-                        BatchModeGuard batch(0);
                         FuseModeGuard fuse(0);
                         runInterleaved(*ref->ctx, *ref->workload, 400,
                                        chunk);
@@ -224,12 +220,76 @@ TEST(BatchedStepTest, FusedReplayByteIdenticalToUnfused)
 }
 
 /**
+ * Kernel work landing mid-replay: AutoNUMA hint bits planted before
+ * the run make walks fault into the hint handler, which migrates data
+ * pages, while THP daemon ticks tied to the context clock split fused
+ * runs at the tick-crossing op and collapse / compact under the
+ * replay. The fused path must service the identical fault stream and
+ * fire every tick at the same op boundary as the per-op reference.
+ */
+TEST(BatchedStepTest, HintFaultsAndThpTicksMatchPerOp)
+{
+    // Fragmented so setup degrades to 4 KB pages and the daemons have
+    // collapse and compaction work to do. Redis reads each value twice
+    // within one page, so its fused runs can straddle a tick boundary
+    // (an unbudgeted accessRun fails this test; gups's one-access runs
+    // would not notice).
+    auto spec = testSpec("redis", /*thp=*/true, /*time_shared=*/false);
+    spec.kernelCfg.thp.khugepaged = true;
+    spec.kernelCfg.thp.kcompactd = true;
+    spec.fragmentation = 1.0;
+    spec.fragSeed = 0xf7a6;
+
+    auto run = [&spec](int fuse_mode) {
+        auto u = prepare(spec, /*mitosis=*/true);
+        u->ctx->enableThpTicks(20000);
+        Rng rng(7);
+        u->kernel.autoNuma().scan(*u->proc, 0.3, rng);
+        FuseModeGuard fuse(fuse_mode);
+        runInterleaved(*u->ctx, *u->workload, 2000);
+        return u;
+    };
+    auto ref = run(0);
+    auto fus = run(1);
+
+    ASSERT_GT(ref->ctx->runtime(), 0u);
+    EXPECT_TRUE(countersMatch(*ref->ctx, *fus->ctx));
+    EXPECT_EQ(ptDumpOf(*ref), ptDumpOf(*fus));
+
+    // The handlers and daemons must have done identical work.
+    const auto &ref_numa = ref->kernel.autoNuma().stats();
+    EXPECT_GT(ref_numa.hintFaults, 0u);
+    EXPECT_EQ(ref_numa.hintFaults,
+              fus->kernel.autoNuma().stats().hintFaults);
+    const os::thp::ThpStats &ref_thp = ref->kernel.thp().stats();
+    const os::thp::ThpStats &fus_thp = fus->kernel.thp().stats();
+    EXPECT_GT(ref_thp.rangesScanned, 0u);
+    EXPECT_GT(ref_thp.collapses, 0u);
+    EXPECT_EQ(ref_thp.rangesScanned, fus_thp.rangesScanned);
+    EXPECT_EQ(ref_thp.collapses, fus_thp.collapses);
+    EXPECT_EQ(ref_thp.compactionPagesMoved,
+              fus_thp.compactionPagesMoved);
+    EXPECT_EQ(ref_thp.daemonCycles, fus_thp.daemonCycles);
+
+    {
+        FuseModeGuard fuse(0);
+        runInterleaved(*ref->ctx, *ref->workload, 400);
+        runInterleaved(*fus->ctx, *fus->workload, 400);
+    }
+    EXPECT_TRUE(countersMatch(*ref->ctx, *fus->ctx))
+        << "(per-op continuation)";
+
+    ref->finalize();
+    fus->finalize();
+}
+
+/**
  * Adversarial run formation: hand-built BatchOp streams aimed at every
  * run boundary — stride-1 line sweeps (a new cache line each op, same
  * page), sub-line repeats, accesses hopping back and forth across one
  * line boundary, interleaved writes and reads on a single line,
  * compute ops embedded mid-run, and page-boundary crossings. Each
- * stream is replayed three ways on identical universes: unfused
+ * stream is replayed three ways on identical universes: per-op
  * reference, fused in one runBatch call, and fused with the stream
  * chopped into 5-op batches (runs split across batch boundaries must
  * re-probe at each batch head and still converge).
@@ -280,12 +340,10 @@ TEST(BatchedStepTest, AdversarialRunFormationMatchesPerOp)
             acc(base + off, true);
 
         {
-            BatchModeGuard batch(1);
             FuseModeGuard fuse(0);
             ref->ctx->runBatch(0, ops.data(), ops.size());
         }
         {
-            BatchModeGuard batch(1);
             FuseModeGuard fuse(1);
             fus->ctx->runBatch(0, ops.data(), ops.size());
             // Same stream, chopped: runs split across batch boundaries.
@@ -303,7 +361,6 @@ TEST(BatchedStepTest, AdversarialRunFormationMatchesPerOp)
         // Per-op continuation over the same addresses: any cache/TLB
         // divergence the fused paths left behind would split counters.
         {
-            BatchModeGuard batch(0);
             FuseModeGuard fuse(0);
             ref->ctx->runBatch(0, ops.data(), ops.size());
             fus->ctx->runBatch(0, ops.data(), ops.size());

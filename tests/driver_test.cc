@@ -397,6 +397,8 @@ TEST(DriverBenchMain, MalformedFlagsFailUsage)
     EXPECT_EQ(runBenchMain(syntheticSpec(), {"--jobs=0"}), 2);
     EXPECT_EQ(runBenchMain(syntheticSpec(), {"--jobs=abc"}), 2);
     EXPECT_EQ(runBenchMain(syntheticSpec(), {"--bogus"}), 2);
+    // The retired intra-job sharding flag must fail loudly, not run.
+    EXPECT_EQ(runBenchMain(syntheticSpec(), {"--sim-threads=4"}), 2);
 }
 
 TEST(DriverBenchMain, HelpExitsCleanly)

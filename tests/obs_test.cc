@@ -6,9 +6,9 @@
  * the overwritten ones), deterministic per-category sampling, the
  * trace-identity contract (an enabled tracer forces the per-op
  * simulation path, so the exported JSON is byte-identical across
- * MITOSIM_FUSE={0,1} and --sim-threads values), and the walk-cycle
- * attribution invariant (the per-level x local/remote buckets sum
- * exactly to walkCycles, serial and sharded, native and mitosis).
+ * MITOSIM_FUSE={0,1}), and the walk-cycle attribution invariant (the
+ * per-level x local/remote buckets sum exactly to walkCycles, fused
+ * and per-op, native and mitosis).
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/batch_op.h"
-#include "src/sim/sharded.h"
 #include "src/workloads/workload.h"
 
 namespace mitosim
@@ -157,12 +156,6 @@ struct FuseModeGuard
     ~FuseModeGuard() { sim::setFuseEnabledForTest(-1); }
 };
 
-struct SimThreadsGuard
-{
-    explicit SimThreadsGuard(int n) { sim::setSimThreads(n); }
-    ~SimThreadsGuard() { sim::setSimThreads(1); }
-};
-
 bench::PopulateSpec
 testSpec(const std::string &workload, bool mitosis, bool time_shared)
 {
@@ -200,7 +193,7 @@ tracedRun(const bench::PopulateSpec &spec)
 
 /// @}
 
-TEST(TraceTest, ExportIsByteIdenticalAcrossFuseAndSimThreads)
+TEST(TraceTest, ExportIsByteIdenticalAcrossFuseModes)
 {
     auto spec = testSpec("memcached", true, true);
     std::string ref;
@@ -216,10 +209,6 @@ TEST(TraceTest, ExportIsByteIdenticalAcrossFuseAndSimThreads)
         FuseModeGuard fuse(1);
         EXPECT_EQ(ref, tracedRun(spec));
     }
-    {
-        SimThreadsGuard threads(3);
-        EXPECT_EQ(ref, tracedRun(spec));
-    }
 }
 
 void
@@ -233,7 +222,7 @@ expectAttrSumsToWalkCycles(const sim::PerfCounters &pc)
     EXPECT_GT(pc.walkCycles, 0u);
 }
 
-TEST(AttributionTest, BucketsSumToWalkCyclesSerialAndSharded)
+TEST(AttributionTest, BucketsSumToWalkCyclesFusedAndPerOp)
 {
     for (bool mitosis : {false, true}) {
         SCOPED_TRACE(mitosis ? "mitosis" : "native");
@@ -253,16 +242,18 @@ TEST(AttributionTest, BucketsSumToWalkCyclesSerialAndSharded)
             return totals;
         };
 
-        sim::PerfCounters serial = run();
-        expectAttrSumsToWalkCycles(serial);
-
-        sim::PerfCounters sharded;
+        sim::PerfCounters fused, per_op;
         {
-            SimThreadsGuard threads(3);
-            sharded = run();
+            FuseModeGuard fuse(1);
+            fused = run();
         }
-        expectAttrSumsToWalkCycles(sharded);
-        EXPECT_EQ(std::memcmp(&serial, &sharded, sizeof serial), 0);
+        expectAttrSumsToWalkCycles(fused);
+        {
+            FuseModeGuard fuse(0);
+            per_op = run();
+        }
+        expectAttrSumsToWalkCycles(per_op);
+        EXPECT_EQ(std::memcmp(&fused, &per_op, sizeof fused), 0);
     }
 }
 
