@@ -1,0 +1,26 @@
+# Run one bench into a fresh directory and diff its report against the
+# committed golden with tools/cmp_reports.py --golden (the "runs" and
+# "speedups" sections must be equal). Invoked by the golden.<bench>
+# ctest entries:
+#
+#   cmake -DBENCH=<binary> -DNAME=<bench> -DGOLDEN=<golden.json>
+#         -DCMP=<cmp_reports.py> -DPYTHON=<python3> -DOUT=<dir>
+#         -P check_golden.cmake
+#
+# Regenerate a golden only in a change that names the model change:
+#   tools/cmp_reports.py --make-golden BENCH_<bench>.json \
+#       > bench/golden/<bench>.json
+
+file(REMOVE_RECURSE ${OUT})
+file(MAKE_DIRECTORY ${OUT})
+set(ENV{MITOSIM_BENCH_DIR} ${OUT})
+execute_process(COMMAND ${BENCH} --jobs=2
+    OUTPUT_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${NAME} exited with ${rc}")
+endif()
+execute_process(COMMAND ${PYTHON} ${CMP} --golden ${GOLDEN}
+    ${OUT}/BENCH_${NAME}.json RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "BENCH_${NAME}.json differs from ${GOLDEN}")
+endif()

@@ -1,5 +1,7 @@
 #include "frame_allocator.h"
 
+#include <algorithm>
+
 #include "src/base/logging.h"
 
 namespace mitosim::mem
@@ -29,6 +31,7 @@ FrameAllocator::setSlot(std::uint64_t block, unsigned slot)
 {
     blocks[block].used[slot >> 6] |= 1ull << (slot & 63);
     ++usedCounts[block];
+    touchBlock(block);
 }
 
 void
@@ -36,6 +39,7 @@ FrameAllocator::clearSlot(std::uint64_t block, unsigned slot)
 {
     blocks[block].used[slot >> 6] &= ~(1ull << (slot & 63));
     --usedCounts[block];
+    touchBlock(block);
 }
 
 int
@@ -187,35 +191,71 @@ FrameAllocator::blockUsedCount(std::uint64_t index) const
     return usedCounts[index];
 }
 
+std::uint64_t
+FrameAllocator::destKey(std::uint64_t block) const
+{
+    std::uint32_t used = usedCounts[block];
+    if (used == 0 || used >= framesPerBlock)
+        return 0;
+    return (static_cast<std::uint64_t>(used) << 32) |
+           static_cast<std::uint32_t>(~block);
+}
+
+void
+FrameAllocator::buildDestTree()
+{
+    std::uint64_t leaves = 1;
+    while (leaves < blocks.size())
+        leaves <<= 1;
+    destTree.assign(2 * leaves, 0);
+    for (std::uint64_t i = 0; i < blocks.size(); ++i)
+        destTree[leaves + i] = destKey(i);
+    for (std::uint64_t n = leaves; n-- > 1;)
+        destTree[n] = std::max(destTree[2 * n], destTree[2 * n + 1]);
+}
+
+void
+FrameAllocator::updateDestTree(std::uint64_t block)
+{
+    std::uint64_t n = destTree.size() / 2 + block;
+    std::uint64_t key = destKey(block);
+    if (destTree[n] == key)
+        return;
+    destTree[n] = key;
+    // Replay the matches up to the root; once a node's winner is
+    // unchanged, every ancestor's is too.
+    for (n >>= 1; n >= 1; n >>= 1) {
+        std::uint64_t win = std::max(destTree[2 * n], destTree[2 * n + 1]);
+        if (destTree[n] == win)
+            break;
+        destTree[n] = win;
+    }
+}
+
 std::optional<Pfn>
 FrameAllocator::allocFrameForCompaction(Pfn avoid)
 {
     MITOSIM_ASSERT(owns(avoid));
-    std::uint64_t avoid_block = blockOf(avoid);
+    if (destTree.empty())
+        buildDestTree();
     // The fullest partial block packs relocated frames densest, which
     // is what turns scattered occupancy back into free 2 MB blocks.
-    // Same decision as the old AoS scan: strict > keeps the lowest
-    // index on ties, avoid/empty/full blocks are skipped.
-    std::uint64_t best = blocks.size();
-    std::uint32_t best_used = 0;
-    for (std::uint64_t i = 0; i < usedCounts.size(); ++i) {
-        std::uint32_t used = usedCounts[i];
-        if (i == avoid_block || used == 0 || used >= framesPerBlock)
-            continue;
-        if (used > best_used) {
-            best = i;
-            best_used = used;
-        }
-    }
-    if (best == blocks.size())
+    // The best block other than avoid's is the best of the subtrees
+    // hanging off avoid's leaf-to-root path.
+    std::uint64_t best = 0;
+    for (std::uint64_t n = destTree.size() / 2 + blockOf(avoid); n > 1;
+         n >>= 1)
+        best = std::max(best, destTree[n ^ 1]);
+    if (best == 0)
         return std::nullopt;
-    int slot = findFreeSlot(blocks[best]);
+    std::uint64_t bi = static_cast<std::uint32_t>(~best);
+    int slot = findFreeSlot(blocks[bi]);
     MITOSIM_ASSERT(slot >= 0);
     // A now-full block may leave a stale partialStack entry behind;
     // pops verify against the block's actual state, as everywhere.
-    setSlot(best, static_cast<unsigned>(slot));
+    setSlot(bi, static_cast<unsigned>(slot));
     --freeCount;
-    return basePfn + best * 512ull + static_cast<unsigned>(slot);
+    return basePfn + bi * 512ull + static_cast<unsigned>(slot);
 }
 
 bool

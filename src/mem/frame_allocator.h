@@ -75,17 +75,24 @@ class FrameAllocator
     forEachAllocatedInBlock(std::uint64_t index, Fn &&fn) const
     {
         const Block &b = blocks[index];
-        for (unsigned slot = 0; slot < framesPerBlock; ++slot) {
-            if (testSlot(b, slot))
-                fn(basePfn + index * framesPerBlock + slot);
+        Pfn first = basePfn + index * framesPerBlock;
+        for (unsigned w = 0; w < 8; ++w) {
+            for (std::uint64_t bits = b.used[w]; bits; bits &= bits - 1)
+                fn(first + w * 64 +
+                   static_cast<unsigned>(__builtin_ctzll(bits)));
         }
     }
 
     /**
      * Compaction destination: allocate one frame from the *fullest*
-     * partially-used block other than @p avoid's block. Never splits a
-     * fully-free block — compaction must consume fragmentation, not
-     * create it. nullopt when no other partial block has room.
+     * partially-used block other than @p avoid's block (lowest index
+     * on ties). Never splits a fully-free block — compaction must
+     * consume fragmentation, not create it. nullopt when no other
+     * partial block has room.
+     *
+     * O(log blocks): the first call builds a tournament tree over the
+     * blocks' used counts (O(blocks)), which every later count change
+     * keeps current.
      */
     std::optional<Pfn> allocFrameForCompaction(Pfn avoid);
 
@@ -115,10 +122,8 @@ class FrameAllocator
     /**
      * One cache line of bitmap per block. The per-block allocated
      * count lives in the separate usedCounts vector (struct of
-     * arrays): kcompactd's fullest-partial-block scan in
-     * allocFrameForCompaction reads only the counts, and packing them
-     * 16-per-line instead of 1-per-72-byte-struct makes that O(blocks)
-     * scan stream instead of stride.
+     * arrays): the allocation stacks' validity checks and the
+     * compaction index's leaf keys read only the counts, 16 per line.
      */
     struct Block
     {
@@ -136,11 +141,37 @@ class FrameAllocator
     void clearSlot(std::uint64_t block, unsigned slot);
     int findFreeSlot(const Block &b) const;
 
+    /**
+     * Compaction index key of block @p block: partial blocks rank by
+     * used count, then by lower index (~index in the low word); fully
+     * free and full blocks key 0, below every partial one. So
+     * allocLargeBlock/freeLargeBlock, which only move a block between
+     * those two states, never change the index.
+     */
+    std::uint64_t destKey(std::uint64_t block) const;
+
+    /** Re-key block @p block after its used count changed. */
+    void
+    touchBlock(std::uint64_t block)
+    {
+        if (!destTree.empty()) // no index until compaction first runs
+            updateDestTree(block);
+    }
+
+    void buildDestTree();
+    void updateDestTree(std::uint64_t block);
+
     Pfn basePfn;
     std::uint64_t numFrames;
     std::uint64_t freeCount;
     std::vector<Block> blocks;
     std::vector<std::uint32_t> usedCounts; // parallel to blocks
+
+    // Compaction destination index: a tournament tree over destKey()
+    // with a power-of-two number of leaves, stored in the upper half,
+    // each inner node n the max of nodes 2n and 2n + 1. Empty until
+    // the first allocFrameForCompaction.
+    std::vector<std::uint64_t> destTree;
 
     // Lazily-maintained stacks of candidate block indices. Entries may be
     // stale; pop verifies against the block's actual state.

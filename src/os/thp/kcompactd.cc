@@ -19,7 +19,10 @@
  *    makes the block unmovable and it is skipped.
  *
  * The pfn→(process, va) reverse map Linux keeps in struct page/rmap is
- * rebuilt per tick from the scanned processes' leaf entries.
+ * built per tick from the scanned processes' leaf entries, but only
+ * for frames in this tick's candidate blocks: a frame enters a
+ * candidate block mid-tick only as a compaction destination, and that
+ * path updates the map itself.
  */
 
 #include <algorithm>
@@ -44,32 +47,63 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     auto &ops = k.ptOps();
     ensureObs();
 
-    // Reverse map (rmap): mapped 4 KB data pfn -> (process, va).
+    // Source candidates per socket: nearly-free blocks, emptiest first
+    // (the cheapest reclaims), ties by block index for determinism.
+    // Every relocation allocates and frees on its source frame's own
+    // socket, so taking all sockets' lists up front sees the same
+    // counts as taking each one when its socket's turn comes.
+    struct SocketCands
+    {
+        Pfn first = 0; //!< the socket's lowest pfn
+        std::vector<std::pair<std::uint32_t, std::uint64_t>> list;
+        std::vector<bool> member; //!< by block; empty when list is
+    };
+    std::vector<SocketCands> cands(
+        static_cast<std::size_t>(machine.numSockets()));
+    bool any = false;
+    for (SocketId s = 0; s < machine.numSockets(); ++s) {
+        const mem::FrameAllocator &alloc = physmem.allocator(s);
+        SocketCands &c = cands[static_cast<std::size_t>(s)];
+        c.first = alloc.firstPfn();
+        for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
+            std::uint32_t used = alloc.blockUsedCount(b);
+            if (used > 0 && used <= cfg.compactMaxUsed)
+                c.list.emplace_back(used, b);
+        }
+        if (c.list.empty())
+            continue;
+        std::sort(c.list.begin(), c.list.end());
+        c.member.assign(alloc.numBlocks(), false);
+        for (const auto &entry : c.list)
+            c.member[entry.second] = true;
+        any = true;
+    }
+    if (!any)
+        return;
+
+    // Reverse map (rmap): mapped 4 KB data pfn -> (process, va), for
+    // frames in candidate blocks only.
     std::unordered_map<Pfn, std::pair<Process *, VirtAddr>> rmap;
     for (Process *p : procs) {
-        ops.forEachLeaf(p->roots(),
-                        [&](VirtAddr va, pt::PteLoc, pt::Pte pte,
-                            PageSizeKind size) {
-                            if (size == PageSizeKind::Base4K)
-                                rmap[pte.pfn()] = {p, va};
-                        });
+        ops.forEachLeaf(
+            p->roots(),
+            [&](VirtAddr va, pt::PteLoc, pt::Pte pte, PageSizeKind size) {
+                if (size != PageSizeKind::Base4K)
+                    return;
+                Pfn pfn = pte.pfn();
+                const SocketCands &c =
+                    cands[static_cast<std::size_t>(physmem.socketOf(pfn))];
+                if (!c.member.empty() &&
+                    c.member[(pfn - c.first) / FramesPerLargePage])
+                    rmap[pfn] = {p, va};
+            });
     }
 
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
-
-        // Source candidates: nearly-free blocks, emptiest first (the
-        // cheapest reclaims), ties by block index for determinism.
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> cands;
-        for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
-            std::uint32_t used = alloc.blockUsedCount(b);
-            if (used > 0 && used <= cfg.compactMaxUsed)
-                cands.emplace_back(used, b);
-        }
-        std::sort(cands.begin(), cands.end());
-
         unsigned budget = cfg.compactBlocksPerTick;
-        for (const auto &[used_snapshot, b] : cands) {
+        for (const auto &[used_snapshot, b] :
+             cands[static_cast<std::size_t>(s)].list) {
             (void)used_snapshot;
             if (!budget)
                 break;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -242,6 +243,172 @@ TEST(FrameAllocator, CompactionAllocPrefersFullestPartial)
     ASSERT_TRUE(dest.has_value());
     EXPECT_EQ(*dest / FramesPerBlock, *f0 / FramesPerBlock);
 }
+
+TEST(FrameAllocator, CompactionAllocRefusesWhenAvoidIsTheOnlyPartial)
+{
+    FrameAllocator a(0, 3 * FramesPerBlock);
+    auto lone = a.allocFrame(); // block 0: the only partial block
+    auto full = a.allocLargeBlock(); // block 1: full; block 2: free
+    ASSERT_TRUE(lone.has_value() && full.has_value());
+    EXPECT_FALSE(a.allocFrameForCompaction(*lone).has_value());
+
+    // avoid's block stays the fullest; the emptier one must win.
+    for (Pfn p = *full + 1; p < *full + FramesPerBlock; ++p)
+        a.freeFrame(p); // block 1 keeps 1 frame
+    auto more = a.allocFrame(); // prefers a partial block
+    ASSERT_TRUE(more.has_value());
+    std::uint64_t fuller = *more / FramesPerBlock;
+    std::uint64_t emptier = fuller == *lone / FramesPerBlock
+                                ? *full / FramesPerBlock
+                                : *lone / FramesPerBlock;
+    auto dest = a.allocFrameForCompaction(*more);
+    ASSERT_TRUE(dest.has_value());
+    EXPECT_EQ(*dest / FramesPerBlock, emptier);
+}
+
+/** The destination block a linear scan over the used counts picks:
+ *  the fullest partial block other than @p avoid's, lowest index on
+ *  ties. */
+std::optional<std::uint64_t>
+scanCompactionBlock(const FrameAllocator &a, Pfn avoid)
+{
+    std::uint64_t avoid_block = (avoid - a.firstPfn()) / FramesPerBlock;
+    std::optional<std::uint64_t> best;
+    std::uint32_t best_used = 0;
+    for (std::uint64_t b = 0; b < a.numBlocks(); ++b) {
+        std::uint32_t used = a.blockUsedCount(b);
+        if (b == avoid_block || used == 0 || used >= FramesPerBlock)
+            continue;
+        if (used > best_used) {
+            best = b;
+            best_used = used;
+        }
+    }
+    return best;
+}
+
+/** Lowest free pfn of block @p b (where the destination frame goes). */
+Pfn
+lowestFreeIn(const FrameAllocator &a, std::uint64_t b)
+{
+    Pfn p = a.firstPfn() + b * FramesPerBlock;
+    while (a.isAllocated(p))
+        ++p;
+    return p;
+}
+
+/**
+ * Differential: the indexed allocFrameForCompaction against the
+ * linear scan, under random alloc/free/large/fragment traffic. Half
+ * the queries avoid the scan's overall winner, so the index must
+ * produce the runner-up; a copy made mid-sequence (the snapshot path)
+ * must carry a consistent index and keep answering the same.
+ */
+class CompactionIndexDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CompactionIndexDifferential, MatchesLinearScan)
+{
+    // 13 blocks: not a power of two, so the index has padding leaves.
+    const std::uint64_t total = 13 * FramesPerBlock;
+    const Pfn first = 7 * FramesPerBlock;
+    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    std::optional<FrameAllocator> copy;
+    FrameAllocator a(first, total);
+
+    struct Held
+    {
+        std::vector<Pfn> small;
+        std::vector<Pfn> large;
+    };
+    Held held_a;
+    Held held_copy;
+
+    auto compact = [&](FrameAllocator &x, Held &held, Pfn avoid) {
+        auto want = scanCompactionBlock(x, avoid);
+        std::optional<Pfn> want_pfn;
+        if (want)
+            want_pfn = lowestFreeIn(x, *want);
+        auto got = x.allocFrameForCompaction(avoid);
+        ASSERT_EQ(got, want_pfn) << "avoid " << avoid;
+        if (got)
+            held.small.push_back(*got);
+    };
+
+    const int steps = 3000;
+    for (int step = 0; step < steps; ++step) {
+        if (step == steps / 2) {
+            copy.emplace(a); // snapshot fork: index built by now
+            held_copy = held_a;
+        }
+        // One op, drawn once, applied to the original and the copy.
+        std::uint64_t op = rng.below(12);
+        std::uint64_t pick = rng.below(1u << 30);
+        double frac = rng.uniform() * 0.3;
+        std::uint64_t frag_seed = rng.below(1u << 30);
+        auto apply = [&](FrameAllocator &x, Held &held) {
+            switch (op) {
+              case 0:
+              case 1:
+              case 2:
+                if (auto p = x.allocFrame())
+                    held.small.push_back(*p);
+                break;
+              case 3:
+                if (auto p = x.allocLargeBlock())
+                    held.large.push_back(*p);
+                break;
+              case 4:
+              case 5:
+              case 6:
+                if (!held.small.empty()) {
+                    std::size_t i = pick % held.small.size();
+                    x.freeFrame(held.small[i]);
+                    held.small.erase(held.small.begin() +
+                                     static_cast<std::ptrdiff_t>(i));
+                }
+                break;
+              case 7:
+                if (!held.large.empty()) {
+                    std::size_t i = pick % held.large.size();
+                    x.freeLargeBlock(held.large[i]);
+                    held.large.erase(held.large.begin() +
+                                     static_cast<std::ptrdiff_t>(i));
+                }
+                break;
+              case 8: {
+                Rng frag(frag_seed);
+                for (Pfn p : x.fragment(frac, frag))
+                    held.small.push_back(p);
+                break;
+              }
+              case 9: {
+                // Avoid the overall winner: the runner-up must win.
+                auto top = scanCompactionBlock(x, first + total);
+                Pfn avoid = top ? x.firstPfn() + *top * FramesPerBlock
+                                : first + pick % total;
+                compact(x, held, avoid);
+                break;
+              }
+              default:
+                compact(x, held, first + pick % total);
+                break;
+            }
+        };
+        apply(a, held_a);
+        if (copy)
+            apply(*copy, held_copy);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    ASSERT_TRUE(copy.has_value());
+    EXPECT_EQ(held_copy.small, held_a.small);
+    EXPECT_EQ(copy->freeFrames(), a.freeFrames());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompactionIndexDifferential,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(FrameAllocator, RejectsUnalignedSizes)
 {

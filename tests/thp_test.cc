@@ -432,6 +432,52 @@ TEST(ThpCompaction, ReclaimsBlocksAndPreservesMappings)
     f.kernel.destroyProcess(f.proc);
 }
 
+TEST(ThpCompaction, RelocatesMappedDataThroughTheReverseMap)
+{
+    thp::ThpConfig cfg;
+    cfg.kcompactd = true;
+    Fixture f(Fixture::Backend::Native, cfg);
+    auto &pm = f.machine.physmem();
+
+    // Three leaf tables' worth of pages: the last few land alone in a
+    // nearly-free block (the leaf tables were allocated in earlier
+    // blocks). Unmapping a few pages of the first block leaves a fuller
+    // partial block to take them.
+    const std::uint64_t pages = 3 * FramesPerLargePage;
+    f.kernel.mmapFixed(f.proc, Base, pages * PageSize,
+                       MmapOptions{.populate = true});
+    f.kernel.munmap(f.proc, Base + 16 * PageSize, 16 * PageSize);
+    std::vector<Pfn> before(pages, InvalidPfn);
+    for (std::uint64_t i = 0; i < pages; ++i) {
+        pt::WalkResult res =
+            f.kernel.ptOps().walk(f.proc.roots(), Base + i * PageSize);
+        if (res.mapped)
+            before[i] = res.leaf.pfn();
+    }
+
+    f.kernel.thpTick();
+    const thp::ThpStats &ts = f.kernel.thp().stats();
+    EXPECT_GT(ts.compactionBlocksReclaimed, 0u);
+    unsigned moved = 0;
+    for (std::uint64_t i = 0; i < pages; ++i) {
+        pt::WalkResult res =
+            f.kernel.ptOps().walk(f.proc.roots(), Base + i * PageSize);
+        ASSERT_EQ(res.mapped, before[i] != InvalidPfn) << i;
+        if (!res.mapped)
+            continue;
+        const mem::PageMeta &m = pm.meta(res.leaf.pfn());
+        EXPECT_EQ(m.type, mem::FrameType::Data) << i;
+        EXPECT_EQ(m.owner, f.proc.id()) << i;
+        if (res.leaf.pfn() != before[i])
+            ++moved;
+    }
+    // Only mapped data lived in the drained block: every frame moved
+    // was found through the reverse map and had its PTE rewritten.
+    EXPECT_GT(moved, 0u);
+    EXPECT_EQ(moved, ts.compactionPagesMoved);
+    f.kernel.destroyProcess(f.proc);
+}
+
 TEST(ThpCompaction, MakesCollapsePossibleAgain)
 {
     // The full recovery loop in miniature: fragmentation defeats

@@ -14,8 +14,15 @@ This tool strips exactly those and requires everything else to be
 equal. CI uses it as the determinism wall for the populate snapshot
 cache, run fusion and the event tracer.
 
+A golden (bench/golden/<bench>.json) pins a bench's simulated results
+in the repository: only the "runs" and "speedups" sections, host
+telemetry stripped. Compared against a golden, a report must match in
+exactly those sections.
+
 Usage:
   tools/cmp_reports.py A.json B.json   # exit 1 + unified diff on drift
+  tools/cmp_reports.py --golden GOLDEN.json B.json
+  tools/cmp_reports.py --make-golden B.json > GOLDEN.json
 """
 
 import difflib
@@ -35,15 +42,38 @@ def strip_host_telemetry(doc):
     return doc
 
 
+GOLDEN_SECTIONS = ("runs", "speedups")
+
+
+def golden_of(doc):
+    doc = strip_host_telemetry(doc)
+    return {sec: doc[sec] for sec in GOLDEN_SECTIONS}
+
+
 def main():
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    golden = args[:1] == ["--golden"]
+    if args[:1] == ["--make-golden"] and len(args) == 2:
+        with open(args[1]) as f:
+            print(json.dumps(golden_of(json.load(f)), indent=1,
+                             sort_keys=True))
+        return 0
+    if golden:
+        args = args[1:]
+    if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    path_a, path_b = sys.argv[1], sys.argv[2]
+    path_a, path_b = args
     with open(path_a) as f:
         doc_a = strip_host_telemetry(json.load(f))
     with open(path_b) as f:
         doc_b = strip_host_telemetry(json.load(f))
+    if golden:
+        if set(doc_a) != set(GOLDEN_SECTIONS):
+            print(f"{path_a}: a golden holds exactly "
+                  f"{', '.join(GOLDEN_SECTIONS)}", file=sys.stderr)
+            return 2
+        doc_b = golden_of(doc_b)
     if doc_a == doc_b:
         print(f"identical (host telemetry excluded): "
               f"{path_a} == {path_b}")
