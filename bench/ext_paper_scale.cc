@@ -106,8 +106,9 @@ run(const std::string &workload, bool replicate)
     res.value("pt_pages", static_cast<double>(pt_pages));
 
     recordWalkAttribution(res, u->proc->id(), out.totals);
-    u->finalize();
     recordJobStats(u->kernel, res);
+    u->finalize();
+    recordCheckStats(u->kernel, res);
     phases.stamp(res);
     return res;
 }

@@ -167,8 +167,8 @@ const char *msConfigName(MsConfig config, bool thp);
  * Threads on every socket; returns aggregate counters + runtime. When
  * @p sink is non-null and the kernel ran with vmcheck enabled
  * (MITOSIM_CHECK=1 or a Debug build with MITOSIM_CHECK_DEFAULT), the
- * end-of-run invariant battery fires and its counters land in
- * @p sink's "check" section (see recordCheckStats).
+ * end-of-run invariant battery fires and its check_* counters land in
+ * @p sink's metrics (see recordCheckStats).
  */
 RunOutcome runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
                           driver::JobResult *sink = nullptr);
@@ -322,11 +322,16 @@ BenchRun &recordOutcome(BenchReport &report, const std::string &label,
 
 /**
  * Run @p kernel's end-of-run vmcheck battery (if checking is enabled)
- * and copy the checker's counters into @p res's "check" section. A
- * no-op when the kernel has no checker, so every bench can call it
- * unconditionally before its kernel dies; violations fatal() unless
- * the checker was configured otherwise, so a report that carries a
- * "check" section with violations == 0 really did pass the battery.
+ * and copy the checker's counters into @p res's metrics as check_*
+ * keys. A no-op when the kernel has no checker, so every bench can
+ * call it unconditionally before its kernel dies; violations fatal()
+ * unless the checker was configured otherwise, so a report whose
+ * metrics carry check_violations == 0 really did pass the battery.
+ * Written straight from CheckStats rather than through the registry,
+ * which preparePopulated() resets after populate: the counters must
+ * include populate-time checkpoints. Call after teardown
+ * (Universe::finalize() / finalizeProcess()), so the battery's leak
+ * checks see every frame freed.
  */
 void recordCheckStats(os::Kernel &kernel, driver::JobResult &res);
 
@@ -341,27 +346,19 @@ void recordCheckStats(os::Kernel &kernel, driver::JobResult &res);
  */
 void recordHostStats(sim::Machine &machine, driver::JobResult &res);
 
-/** Which optional stat sections recordJobStats copies. */
-struct JobStatsOptions
-{
-    bool sched = false; //!< scheduler activity ("scheduler" section)
-    bool thp = false;   //!< THP lifecycle counters ("thp" section)
-    bool host = true;   //!< host hot-path telemetry ("wall_ms" section)
-};
-
 /**
- * One-stop end-of-job stat sink: copies every diagnostic surface the
- * job's kernel/machine accumulated into @p res — the vmcheck battery
- * (recordCheckStats, always), scheduler and THP counters in their
- * established key orders (opted in, since those sections only appear
- * for benches whose jobs ran the respective machinery), host hot-path
- * telemetry (recordHostStats, opted out by benches that bypass the
- * populate path), the flattened src/obs metrics registry, and the
- * exported trace JSON (empty unless MITOSIM_TRACE enabled categories).
- * Call once per job, after Universe::finalize() / finalizeProcess().
+ * End-of-run stat sink: copies the job machine's telemetry into @p res
+ * — host hot-path telemetry (recordHostStats, into "wall_ms"), the
+ * flattened src/obs metrics registry (which carries the sched_* and
+ * thp_* counter families), and the exported trace JSON (empty unless
+ * MITOSIM_TRACE enabled categories). Call once per job when the
+ * measured run ends, before Universe::finalize() / finalizeProcess():
+ * a checked kernel tears processes down for real there (freeing
+ * replicas), and the metrics must describe the run, not the teardown,
+ * so checked and unchecked reports agree. recordCheckStats() follows
+ * the teardown.
  */
-void recordJobStats(os::Kernel &kernel, driver::JobResult &res,
-                    const JobStatsOptions &opts = {});
+void recordJobStats(os::Kernel &kernel, driver::JobResult &res);
 
 /**
  * Record @p totals' walk-cycle attribution (PerfCounters::walkCyclesAttr)

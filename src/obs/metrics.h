@@ -13,9 +13,11 @@
  * report's "metrics" section.
  *
  * Instruments are plain value accumulators — they never touch
- * simulated state, so the "metrics" report section is excluded from
- * the paper-metric identity contract (tools/cmp_reports.py strips it
- * alongside "wall_ms" and "check").
+ * simulated state — but what they count is simulated and
+ * deterministic: the "metrics" report section must be identical
+ * across MITOSIM_FUSE, MITOSIM_SNAPSHOTS, MITOSIM_TRACE and --jobs
+ * (tools/cmp_reports.py compares it, stripping only "wall_ms" and the
+ * vmcheck check_* keys).
  */
 
 #ifndef MITOSIM_OBS_METRICS_H

@@ -287,7 +287,7 @@ class Kernel
     /**
      * The invariant checker, or nullptr when checking is off (the
      * default). Drivers call checker()->atEndOfRun() before teardown
-     * and copy checker()->stats() into the per-job "check" report.
+     * and copy checker()->stats() into the job's check_* metrics.
      */
     check::Checker *checker() { return chk.get(); }
 

@@ -45,7 +45,6 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     auto &machine = k.machine();
     auto &physmem = machine.physmem();
     auto &ops = k.ptOps();
-    ensureObs();
 
     // Source candidates per socket: nearly-free blocks, emptiest first
     // (the cheapest reclaims), ties by block index for determinism.
@@ -136,6 +135,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             }
             if (!movable) {
                 ++stats_.compactionFailures;
+                mCompactionFailures->inc();
                 continue;
             }
             --budget;
@@ -146,6 +146,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
                 if (physmem.isFragPinned(p)) {
                     if (!physmem.compactReservedPin(p)) {
                         ++stats_.compactionFailures;
+                        mCompactionFailures->inc();
                         drained = false;
                         break;
                     }
@@ -159,6 +160,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
                 auto fresh = physmem.compactData(p);
                 if (!fresh) {
                     ++stats_.compactionFailures;
+                    mCompactionFailures->inc();
                     drained = false;
                     break;
                 }

@@ -18,16 +18,18 @@ namespace mitosim::os::thp
 
 using pvops::KernelCost;
 
-void
-ThpManager::ensureObs()
+ThpManager::ThpManager(Kernel &kernel, const ThpConfig &config)
+    : k(kernel), cfg(config)
 {
-    if (mCollapses)
-        return;
     obs::MetricsRegistry &mr = k.machine().metrics();
+    mRangesScanned = &mr.counter("thp_ranges_scanned");
     mCollapses = &mr.counter("thp_collapses");
+    mCollapseFailedNoBlock = &mr.counter("thp_collapse_failed_no_block");
     mSplits = &mr.counter("thp_splits");
-    mPagesMoved = &mr.counter("thp_compaction_pages_moved");
     mBlocksReclaimed = &mr.counter("thp_compaction_blocks_reclaimed");
+    mPagesMoved = &mr.counter("thp_compaction_pages_moved");
+    mCompactionFailures = &mr.counter("thp_compaction_failures");
+    mDaemonCycles = &mr.counter("thp_daemon_cycles");
 }
 
 void
@@ -41,6 +43,7 @@ ThpManager::tick(const std::vector<Process *> &procs)
             scanProcess(*p, &cost);
     }
     stats_.daemonCycles += cost.cycles;
+    mDaemonCycles->inc(cost.cycles);
 }
 
 bool
@@ -110,6 +113,7 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
     auto head = physmem.allocDataLarge(socket, proc.id());
     if (!head) {
         ++stats_.collapseFailedNoBlock;
+        mCollapseFailedNoBlock->inc();
         return false;
     }
     if (cost)
@@ -155,7 +159,6 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
     // can hold the process's translations.
     k.shootdownRange(proc, {}, FramesPerLargePage, cost);
     ++stats_.collapses;
-    ensureObs();
     mCollapses->inc();
     k.machine().tracer().instant(obs::TraceCat::Thp,
                                  "khugepaged_collapse", proc.id(), 0,
@@ -186,7 +189,6 @@ ThpManager::splitAt(Process &proc, VirtAddr va, KernelCost *cost)
     // also clears the covering PWC prefixes on every core.
     k.shootdown(proc, base, cost);
     ++stats_.splits;
-    ensureObs();
     mSplits->inc();
     k.machine().tracer().instant(obs::TraceCat::Thp, "thp_split",
                                  proc.id(), 0, "va", base);

@@ -88,7 +88,7 @@ struct ThpConfig
     std::uint32_t compactMaxUsed = 64;
 };
 
-/** Lifecycle activity counters (the bench report's "thp" section). */
+/** Lifecycle activity counters (mirrored by the thp_* metrics). */
 struct ThpStats
 {
     std::uint64_t rangesScanned = 0;     //!< khugepaged 2 MB candidates
@@ -110,10 +110,8 @@ struct ThpStats
 class ThpManager
 {
   public:
-    ThpManager(Kernel &kernel, const ThpConfig &config)
-        : k(kernel), cfg(config)
-    {
-    }
+    /** Registers the thp_* counters in the kernel machine's registry. */
+    ThpManager(Kernel &kernel, const ThpConfig &config);
 
     const ThpConfig &config() const { return cfg; }
     bool enabled() const { return cfg.khugepaged || cfg.kcompactd; }
@@ -184,24 +182,20 @@ class ThpManager
     void compactTick(const std::vector<Process *> &procs,
                      pvops::KernelCost *cost);
 
-    /**
-     * Register the metric handles on first use. Lazy because the ctor
-     * runs while Kernel is still incomplete here (thp.h is included
-     * from kernel.h), so k.machine() is only reachable from the .cc
-     * files.
-     */
-    void ensureObs();
-
     Kernel &k;
     ThpConfig cfg;
     ThpStats stats_;
 
-    /// @name Observability handles (lazily registered, see ensureObs)
+    /// @name Observability handles (one thp_* counter per ThpStats field)
     /// @{
+    obs::Counter *mRangesScanned = nullptr;
     obs::Counter *mCollapses = nullptr;
+    obs::Counter *mCollapseFailedNoBlock = nullptr;
     obs::Counter *mSplits = nullptr;
-    obs::Counter *mPagesMoved = nullptr;
     obs::Counter *mBlocksReclaimed = nullptr;
+    obs::Counter *mPagesMoved = nullptr;
+    obs::Counter *mCompactionFailures = nullptr;
+    obs::Counter *mDaemonCycles = nullptr;
     /// @}
 
     /** khugepaged resume addresses, per pid (Linux's scan cursor). */

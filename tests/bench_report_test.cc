@@ -172,99 +172,6 @@ TEST(BenchReport, SchemaKeysPresent)
     EXPECT_TRUE(doc.find("speedups")->isObject());
     // Host telemetry is opt-in: absent unless wallMs() was recorded.
     EXPECT_EQ(doc.find("wall_ms"), nullptr);
-    // Likewise scheduler activity: only time-shared benches emit it.
-    EXPECT_EQ(doc.find("scheduler"), nullptr);
-    // And THP lifecycle counters: only daemon-running benches emit it.
-    EXPECT_EQ(doc.find("thp"), nullptr);
-    // And vmcheck counters: only checked runs emit it.
-    EXPECT_EQ(doc.find("check"), nullptr);
-}
-
-TEST(BenchReport, CheckSectionGroupsStatsPerJobAndStaysOutOfMetrics)
-{
-    BenchReport report = sampleReport();
-    report.checkStat("gups/F", "checkpoints", 34.0);
-    report.checkStat("gups/F", "violations", 0.0);
-    report.checkStat("gups/F+M", "violations", 0.0);
-    JsonValue doc = roundTrip(report);
-
-    const JsonValue *check = doc.find("check");
-    ASSERT_NE(check, nullptr);
-    ASSERT_TRUE(check->isObject());
-    EXPECT_EQ(check->size(), 2u);
-    const JsonValue *job = check->find("gups/F");
-    ASSERT_NE(job, nullptr);
-    ASSERT_NE(job->find("checkpoints"), nullptr);
-    EXPECT_EQ(job->find("checkpoints")->asNumber(), 34.0);
-    EXPECT_EQ(job->find("violations")->asNumber(), 0.0);
-
-    // Diagnostic section, excluded from metric comparisons: never
-    // mirrored into any run's metrics.
-    const JsonValue *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue *metrics = runs->at(i).find("metrics");
-        ASSERT_NE(metrics, nullptr);
-        EXPECT_EQ(metrics->find("violations"), nullptr);
-    }
-}
-
-TEST(BenchReport, ThpSectionGroupsStatsPerJobAndStaysOutOfMetrics)
-{
-    BenchReport report = sampleReport();
-    report.thpStat("gups/native-on", "collapses", 1024.0);
-    report.thpStat("gups/native-on", "splits", 3.0);
-    report.thpStat("gups/mitosis-on", "collapses", 1024.0);
-    JsonValue doc = roundTrip(report);
-
-    const JsonValue *thp = doc.find("thp");
-    ASSERT_NE(thp, nullptr);
-    ASSERT_TRUE(thp->isObject());
-    EXPECT_EQ(thp->size(), 2u);
-    const JsonValue *job = thp->find("gups/native-on");
-    ASSERT_NE(job, nullptr);
-    ASSERT_NE(job->find("collapses"), nullptr);
-    EXPECT_EQ(job->find("collapses")->asNumber(), 1024.0);
-    EXPECT_EQ(job->find("splits")->asNumber(), 3.0);
-
-    // Diagnostic section, excluded from metric comparisons: never
-    // mirrored into any run's metrics.
-    const JsonValue *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue *metrics = runs->at(i).find("metrics");
-        ASSERT_NE(metrics, nullptr);
-        EXPECT_EQ(metrics->find("collapses"), nullptr);
-    }
-}
-
-TEST(BenchReport, SchedulerSectionGroupsStatsPerJob)
-{
-    BenchReport report = sampleReport();
-    report.schedStat("tenants/pcid-on", "context_switches", 192.0);
-    report.schedStat("tenants/pcid-on", "preemptions", 40.0);
-    report.schedStat("tenants/pcid-off", "context_switches", 192.0);
-    JsonValue doc = roundTrip(report);
-
-    const JsonValue *sched = doc.find("scheduler");
-    ASSERT_NE(sched, nullptr);
-    ASSERT_TRUE(sched->isObject());
-    EXPECT_EQ(sched->size(), 2u);
-    const JsonValue *on = sched->find("tenants/pcid-on");
-    ASSERT_NE(on, nullptr);
-    ASSERT_NE(on->find("context_switches"), nullptr);
-    EXPECT_EQ(on->find("context_switches")->asNumber(), 192.0);
-    EXPECT_EQ(on->find("preemptions")->asNumber(), 40.0);
-
-    // Like wall_ms, scheduler stats stay out of every run's metrics:
-    // the section is diagnostic and excluded from metric comparisons.
-    const JsonValue *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue *metrics = runs->at(i).find("metrics");
-        ASSERT_NE(metrics, nullptr);
-        EXPECT_EQ(metrics->find("context_switches"), nullptr);
-    }
 }
 
 TEST(BenchReport, WallMsSectionIsSeparateFromMetrics)

@@ -129,15 +129,13 @@ tinySimJob(bool remote_pt, std::uint64_t seed)
     out.totals = ctx.totals();
     kernel.destroyProcess(proc);
     JobResult result = JobResult::of(out);
-    // Scheduler activity lands in the report's "scheduler" section
-    // (excluded from metric comparisons, like wall_ms) — deterministic,
-    // so serial and parallel runs must still emit it identically.
-    result.schedStat("enqueues",
-                     static_cast<double>(
-                         kernel.scheduler().stats().enqueues));
-    // vmcheck counters land in the "check" section under the same
-    // excluded-from-comparison contract.
-    result.checkStat("violations", 0.0);
+    // Scheduler activity and vmcheck counters land in the report's
+    // "metrics" section — deterministic simulated telemetry, so serial
+    // and parallel runs must emit it identically.
+    result.metricStat("sched_enqueues",
+                      static_cast<double>(
+                          kernel.scheduler().stats().enqueues));
+    result.metricStat("check_violations", 0.0);
     return result;
 }
 
@@ -293,15 +291,14 @@ TEST(DriverBenchMain, JobsFlagProducesIdenticalMetrics)
 
     // Every section except the host-telemetry "wall_ms" must be deeply
     // identical: thread count cannot change simulated results. wall_ms
-    // is the one legitimate difference between the two files — the
-    // "scheduler" section is simulated (deterministic) telemetry, so it
-    // is compared here even though metric-diffing tools skip it.
+    // is the one legitimate difference between the two files; the
+    // simulated telemetry in "metrics" is compared like "runs".
     auto a = bench::parseJson(serial);
     auto b = bench::parseJson(parallel);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     for (const char *key : {"schema_version", "bench", "config", "runs",
-                            "speedups", "scheduler"}) {
+                            "speedups", "metrics"}) {
         const bench::JsonValue *va = a->find(key);
         const bench::JsonValue *vb = b->find(key);
         ASSERT_NE(va, nullptr) << key;
@@ -312,8 +309,8 @@ TEST(DriverBenchMain, JobsFlagProducesIdenticalMetrics)
     ASSERT_NE(runs, nullptr);
     EXPECT_EQ(runs->size(), 4u);
 
-    // wall_ms carries one entry per job plus the total, in both modes.
     for (const auto *doc : {&*a, &*b}) {
+        // wall_ms carries one entry per job plus the total.
         const bench::JsonValue *wall = doc->find("wall_ms");
         ASSERT_NE(wall, nullptr);
         EXPECT_EQ(wall->size(), 5u); // 4 jobs + "total"
@@ -322,25 +319,22 @@ TEST(DriverBenchMain, JobsFlagProducesIdenticalMetrics)
         EXPECT_GT(total->asNumber(), 0.0);
         EXPECT_NE(wall->find("tiny/remote-pt/seed21"), nullptr);
 
-        // The driver grouped each job's schedStat()s under its name.
-        const bench::JsonValue *sched = doc->find("scheduler");
-        ASSERT_NE(sched, nullptr);
-        EXPECT_EQ(sched->size(), 4u); // one object per job
-        const bench::JsonValue *job =
-            sched->find("tiny/remote-pt/seed21");
-        ASSERT_NE(job, nullptr);
-        ASSERT_NE(job->find("enqueues"), nullptr);
-        EXPECT_EQ(job->find("enqueues")->asNumber(), 1.0);
+        // The driver grouped each job's metricStat()s under its name.
+        const bench::JsonValue *metrics = doc->find("metrics");
+        ASSERT_NE(metrics, nullptr);
+        EXPECT_EQ(metrics->size(), 4u); // one object per job
+        for (const auto &[name, job] : metrics->members()) {
+            ASSERT_NE(job.find("sched_enqueues"), nullptr) << name;
+            EXPECT_EQ(job.find("sched_enqueues")->asNumber(), 1.0)
+                << name;
+            ASSERT_NE(job.find("check_violations"), nullptr) << name;
+            EXPECT_EQ(job.find("check_violations")->asNumber(), 0.0)
+                << name;
+        }
 
-        // ... and each job's checkStat()s under "check".
-        const bench::JsonValue *check = doc->find("check");
-        ASSERT_NE(check, nullptr);
-        EXPECT_EQ(check->size(), 4u);
-        const bench::JsonValue *cjob =
-            check->find("tiny/remote-pt/seed21");
-        ASSERT_NE(cjob, nullptr);
-        ASSERT_NE(cjob->find("violations"), nullptr);
-        EXPECT_EQ(cjob->find("violations")->asNumber(), 0.0);
+        // "metrics" is the only per-job simulated telemetry section.
+        for (const char *gone : {"scheduler", "thp", "check"})
+            EXPECT_EQ(doc->find(gone), nullptr) << gone;
     }
 }
 

@@ -56,6 +56,9 @@ TEST_F(SchedulerTest, OversubscriptionEnqueuesInsteadOfFailing)
     // Nothing dispatched yet: no CR3 loaded anywhere.
     EXPECT_EQ(kernel.processOnCore(0), nullptr);
     EXPECT_FALSE(machine.core(0).hasContext());
+    // Every admission counts, in the stats and in the report's metrics.
+    EXPECT_EQ(kernel.scheduler().stats().enqueues, 6u);
+    EXPECT_EQ(machine.metrics().counter("sched_enqueues").value, 6u);
     kernel.destroyProcess(p);
 }
 

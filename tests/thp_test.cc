@@ -494,6 +494,23 @@ TEST(ThpCompaction, MakesCollapsePossibleAgain)
     EXPECT_EQ(f.kernel.ptOps().walk(f.proc.roots(), Base).size,
               PageSizeKind::Large2M);
     EXPECT_GT(f.kernel.thp().stats().daemonCycles, 0u);
+
+    // Every ThpStats field reaches the report through its thp_* registry
+    // counter, with the same value.
+    const thp::ThpStats &ts = f.kernel.thp().stats();
+    obs::MetricsRegistry &mr = f.machine.metrics();
+    const std::pair<const char *, std::uint64_t> mirrored[] = {
+        {"thp_ranges_scanned", ts.rangesScanned},
+        {"thp_collapses", ts.collapses},
+        {"thp_collapse_failed_no_block", ts.collapseFailedNoBlock},
+        {"thp_splits", ts.splits},
+        {"thp_compaction_blocks_reclaimed", ts.compactionBlocksReclaimed},
+        {"thp_compaction_pages_moved", ts.compactionPagesMoved},
+        {"thp_compaction_failures", ts.compactionFailures},
+        {"thp_daemon_cycles", ts.daemonCycles},
+    };
+    for (const auto &[name, value] : mirrored)
+        EXPECT_EQ(mr.counter(name).value, value) << name;
 }
 
 TEST(ThpCoverage, TracksPromotionAndDemotion)

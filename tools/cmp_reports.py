@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Diff two bench reports, ignoring host telemetry.
+"""Diff two bench reports, ignoring host telemetry and vmcheck counters.
 
-The simulated metrics in a BENCH_<name>.json report are deterministic:
+The simulated results in a BENCH_<name>.json report are deterministic:
 they must be byte-identical across MITOSIM_SNAPSHOTS={0,1}, across
 MITOSIM_FUSE={0,1}, across MITOSIM_TRACE settings, across --jobs
-values, and (unless the model changed) across commits. Only diagnostic surfaces are allowed to
-differ: the top-level "wall_ms", "check" and "metrics" (src/obs
-registry flatten — an observability surface free to grow richer
-between PRs) sections, and per-run metric keys prefixed "wall_" or
-"check_".
+values, and (unless the model changed) across commits. That covers the
+per-job "metrics" section too: the simulated telemetry channel (src/obs
+registry flatten, walk-cycle attribution).
 
-This tool strips exactly those and requires everything else to be
-equal. CI uses it as the determinism wall for the populate snapshot
-cache, run fusion and the event tracer.
+Two things may differ and are stripped:
+  - the top-level "wall_ms" section (host wall-clock and host hot-path
+    counters);
+  - every key prefixed "check_", in each run's metrics and in each job
+    of "metrics": the vmcheck counters, present only in checked runs.
+
+Everything else must be equal. CI uses this as the determinism wall
+for the populate snapshot cache, run fusion and the event tracer, and
+to show that a checked run simulates exactly what an unchecked one does.
 
 A golden (bench/golden/<bench>.json) pins a bench's simulated results
-in the repository: only the "runs" and "speedups" sections, host
-telemetry stripped. Compared against a golden, a report must match in
-exactly those sections.
+in the repository: only the "runs" and "speedups" sections, stripped
+as above. Compared against a golden, a report must match in exactly
+those sections.
 
 Usage:
   tools/cmp_reports.py A.json B.json   # exit 1 + unified diff on drift
@@ -30,15 +34,14 @@ import json
 import sys
 
 
-def strip_host_telemetry(doc):
+def strip_unstable(doc):
     doc = json.loads(json.dumps(doc))
-    for sec in ("wall_ms", "check", "metrics"):
-        doc.pop(sec, None)
-    for run in doc.get("runs", []):
-        metrics = run.get("metrics", {})
-        for k in [k for k in metrics
-                  if k.startswith("wall_") or k.startswith("check_")]:
-            metrics.pop(k)
+    doc.pop("wall_ms", None)
+    tables = [run.get("metrics", {}) for run in doc.get("runs", [])]
+    tables += doc.get("metrics", {}).values()
+    for table in tables:
+        for k in [k for k in table if k.startswith("check_")]:
+            table.pop(k)
     return doc
 
 
@@ -46,7 +49,7 @@ GOLDEN_SECTIONS = ("runs", "speedups")
 
 
 def golden_of(doc):
-    doc = strip_host_telemetry(doc)
+    doc = strip_unstable(doc)
     return {sec: doc[sec] for sec in GOLDEN_SECTIONS}
 
 
@@ -65,9 +68,9 @@ def main():
         return 2
     path_a, path_b = args
     with open(path_a) as f:
-        doc_a = strip_host_telemetry(json.load(f))
+        doc_a = strip_unstable(json.load(f))
     with open(path_b) as f:
-        doc_b = strip_host_telemetry(json.load(f))
+        doc_b = strip_unstable(json.load(f))
     if golden:
         if set(doc_a) != set(GOLDEN_SECTIONS):
             print(f"{path_a}: a golden holds exactly "
@@ -75,7 +78,7 @@ def main():
             return 2
         doc_b = golden_of(doc_b)
     if doc_a == doc_b:
-        print(f"identical (host telemetry excluded): "
+        print(f"identical (wall_ms and check_* excluded): "
               f"{path_a} == {path_b}")
         return 0
     lines_a = json.dumps(doc_a, indent=1, sort_keys=True).splitlines()
