@@ -45,7 +45,7 @@ struct Rig
         if (!ops.createRoot(roots, 1, 0, nullptr))
             fatal("rig: out of memory");
         pt::PtPlacementPolicy policy;
-        auto data = pm.allocData(0, 1);
+        auto data = pm.allocData(0, 1, 0x1000);
         if (!ops.map4K(roots, 1, 0x1000, *data, pt::PteWrite, policy, 0,
                        nullptr))
             fatal("rig: map failed");

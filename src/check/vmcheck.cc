@@ -277,11 +277,31 @@ void
 Checker::checkVmaPteAgreement()
 {
     ++stats_.checksRun;
+    const auto &pm = k.machine().physmem();
     for (os::Process *p : k.liveProcesses()) {
         k.ptOps().forEachLeaf(
             p->roots(),
             [&](VirtAddr va, pt::PteLoc, pt::Pte pte, PageSizeKind size) {
                 ++stats_.leavesChecked;
+                // The reverse map kcompactd reads: a small data frame
+                // names the process and virtual page that map it.
+                const mem::PageMeta &m = pm.meta(pte.pfn());
+                if (size == PageSizeKind::Base4K &&
+                    m.type == mem::FrameType::Data &&
+                    !m.hasFlag(mem::FrameFlagLargeHead) &&
+                    !m.hasFlag(mem::FrameFlagLargeTail) &&
+                    (m.owner != p->id() ||
+                     m.vpn != mem::PageMeta::packVpn(va))) {
+                    report({CheckClass::VmaPteAgreement, p->id(), va,
+                            va + PageSize, InvalidSocket,
+                            format("frame rmap pid %d va 0x%llx", p->id(),
+                                   (unsigned long long)va),
+                            format("pid %d va 0x%llx", m.owner,
+                                   (unsigned long long)m.va()),
+                            format("data pfn %llu records another "
+                                   "mapping",
+                                   (unsigned long long)pte.pfn())});
+                }
                 std::uint64_t span = size == PageSizeKind::Large2M
                                          ? LargePageSize
                                          : PageSize;

@@ -13,8 +13,10 @@
  *     equal to the primary tree modulo socket-local table frames and
  *     hardware-written A/D bits (the walker writes those per-replica;
  *     the OS read path ORs them, §5.4).
- *  2. VMA <-> PTE agreement: every present leaf lies inside a VMA, and
- *     a writable PTE never maps a read-only VMA.
+ *  2. VMA <-> PTE agreement: every present leaf lies inside a VMA, a
+ *     writable PTE never maps a read-only VMA, and every present 4 KB
+ *     data leaf's frame records that leaf's process and virtual page
+ *     (PageMeta::owner / vpn, the reverse map kcompactd reads).
  *  3. Frame accounting: walking every page-table (all replicas) plus
  *     the fragmentation injector and PT reserve caches reaches exactly
  *     the frames the allocators say are allocated — no orphans, no

@@ -9,6 +9,7 @@ namespace mitosim::mem
 
 FrameAllocator::FrameAllocator(Pfn first_pfn, std::uint64_t num_frames)
     : basePfn(first_pfn), numFrames(num_frames), freeCount(num_frames),
+      fullyFreeBlocks(num_frames / framesPerBlock),
       blocks(num_frames / framesPerBlock),
       usedCounts(num_frames / framesPerBlock, 0)
 {
@@ -30,7 +31,8 @@ void
 FrameAllocator::setSlot(std::uint64_t block, unsigned slot)
 {
     blocks[block].used[slot >> 6] |= 1ull << (slot & 63);
-    ++usedCounts[block];
+    if (usedCounts[block]++ == 0)
+        --fullyFreeBlocks;
     touchBlock(block);
 }
 
@@ -38,7 +40,8 @@ void
 FrameAllocator::clearSlot(std::uint64_t block, unsigned slot)
 {
     blocks[block].used[slot >> 6] &= ~(1ull << (slot & 63));
-    --usedCounts[block];
+    if (--usedCounts[block] == 0)
+        ++fullyFreeBlocks;
     touchBlock(block);
 }
 
@@ -118,9 +121,13 @@ FrameAllocator::allocLargeBlock()
             w = ~0ull;
         usedCounts[bi] = framesPerBlock;
         freeCount -= framesPerBlock;
+        --fullyFreeBlocks;
         return basePfn + bi * 512ull;
     }
-    // Rebuild in case frees made blocks fully free without stack entries.
+    // Rebuild in case frees made blocks fully free without stack
+    // entries; under full fragmentation there is none to find.
+    if (fullyFreeBlocks == 0)
+        return std::nullopt;
     bool found = false;
     for (std::size_t i = blocks.size(); i-- > 0;) {
         if (usedCounts[i] == 0) {
@@ -162,17 +169,8 @@ FrameAllocator::freeLargeBlock(Pfn head)
         w = 0;
     usedCounts[bi] = 0;
     freeCount += framesPerBlock;
+    ++fullyFreeBlocks;
     fullyFreeStack.push_back(static_cast<std::uint32_t>(bi));
-}
-
-std::uint64_t
-FrameAllocator::freeLargeBlocks() const
-{
-    std::uint64_t n = 0;
-    for (std::uint32_t c : usedCounts)
-        if (c == 0)
-            ++n;
-    return n;
 }
 
 double

@@ -52,7 +52,7 @@ class FrameAllocator
     Pfn firstPfn() const { return basePfn; }
 
     /** Number of fully-free 2 MB blocks (capacity for THP allocations). */
-    std::uint64_t freeLargeBlocks() const;
+    std::uint64_t freeLargeBlocks() const { return fullyFreeBlocks; }
 
     /**
      * Fragmentation observability: the fraction of this socket's 2 MB
@@ -164,6 +164,7 @@ class FrameAllocator
     Pfn basePfn;
     std::uint64_t numFrames;
     std::uint64_t freeCount;
+    std::uint64_t fullyFreeBlocks; //!< blocks with no frame allocated
     std::vector<Block> blocks;
     std::vector<std::uint32_t> usedCounts; // parallel to blocks
 

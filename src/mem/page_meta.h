@@ -56,6 +56,9 @@ inline constexpr std::uint32_t NoTableSlot = 0xffffffffu;
  * @invariant For PageTable frames, replicaNext forms a circular list over
  *            all replicas of the same logical page-table page; an
  *            unreplicated page links to itself.
+ * @invariant A small (4 KB) data frame mapped by a present leaf carries
+ *            that mapping's owner and virtual page (vpn), the reverse
+ *            map kcompactd reads instead of walking the page tables.
  */
 struct PageMeta
 {
@@ -78,11 +81,34 @@ struct PageMeta
 
     std::uint16_t flags = FrameFlagNone;
 
+    /**
+     * Small data frames: the virtual page (va >> PageShift) the frame
+     * is mapped at in its owner, truncated to 32 bits (16 TiB of
+     * address space). Set when the frame gets its mapping
+     * (PhysicalMemory::allocData, splitLargeData) and carried along by
+     * migrateData and compactData; 0 otherwise. It fills what was
+     * padding, so PageMeta stays 24 bytes.
+     */
+    std::uint32_t vpn = 0;
+
     bool isPageTable() const { return type == FrameType::PageTable; }
     bool isFree() const { return type == FrameType::Free; }
     bool hasFlag(FrameFlags f) const { return (flags & f) != 0; }
     bool hasTable() const { return tableSlot != NoTableSlot; }
+
+    /** The 32-bit vpn field's encoding of @p va. */
+    static constexpr std::uint32_t
+    packVpn(VirtAddr va)
+    {
+        return static_cast<std::uint32_t>(va >> PageShift);
+    }
+
+    /** Virtual address of the recorded mapping (see vpn). */
+    VirtAddr va() const { return static_cast<VirtAddr>(vpn) << PageShift; }
 };
+
+static_assert(sizeof(PageMeta) == 24,
+              "the vpn field must fit in PageMeta's former padding");
 
 static_assert(std::is_trivially_copyable_v<PageMeta>,
               "metadata chunks are copied and scrubbed wholesale");

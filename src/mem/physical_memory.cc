@@ -127,7 +127,6 @@ PhysicalMemory::PhysicalMemory(const numa::Topology &topology)
       perSocket(static_cast<std::size_t>(topo.numSockets())),
       ptCache(static_cast<std::size_t>(topo.numSockets())),
       ptCacheTarget(static_cast<std::size_t>(topo.numSockets()), 0),
-      fragPinned(static_cast<std::size_t>(topo.numSockets())),
       ptLive(static_cast<std::size_t>(topo.numSockets())),
       tableArenas(static_cast<std::size_t>(topo.numSockets()))
 {
@@ -153,7 +152,7 @@ PhysicalMemory::alloc(SocketId socket) const
 }
 
 std::optional<Pfn>
-PhysicalMemory::allocData(SocketId socket, ProcId owner)
+PhysicalMemory::allocData(SocketId socket, ProcId owner, VirtAddr va)
 {
     auto pfn = alloc(socket).allocFrame();
     if (!pfn)
@@ -164,19 +163,21 @@ PhysicalMemory::allocData(SocketId socket, ProcId owner)
     m.level = 0;
     m.flags = FrameFlagNone;
     m.replicaNext = *pfn;
+    m.vpn = PageMeta::packVpn(va);
     ++perSocket[static_cast<std::size_t>(socket)].dataPages;
     return pfn;
 }
 
 std::optional<Pfn>
-PhysicalMemory::allocDataAny(SocketId preferred, ProcId owner)
+PhysicalMemory::allocDataAny(SocketId preferred, ProcId owner,
+                             VirtAddr va)
 {
-    auto pfn = allocData(preferred, owner);
+    auto pfn = allocData(preferred, owner, va);
     if (pfn)
         return pfn;
     for (int d = 1; d < topo.numSockets(); ++d) {
         SocketId s = (preferred + d) % topo.numSockets();
-        pfn = allocData(s, owner);
+        pfn = allocData(s, owner, va);
         if (pfn)
             return pfn;
     }
@@ -211,6 +212,7 @@ PhysicalMemory::freeData(Pfn pfn)
     m.type = FrameType::Free;
     m.owner = -1;
     m.replicaNext = InvalidPfn;
+    m.vpn = 0;
     SocketId s = socketOf(pfn);
     --perSocket[static_cast<std::size_t>(s)].dataPages;
     alloc(s).freeFrame(pfn);
@@ -229,6 +231,7 @@ PhysicalMemory::freeDataLarge(Pfn head)
         m.owner = -1;
         m.flags = FrameFlagNone;
         m.replicaNext = InvalidPfn;
+        m.vpn = 0;
     }
     SocketId s = socketOf(head);
     --perSocket[static_cast<std::size_t>(s)].dataLargePages;
@@ -245,7 +248,7 @@ PhysicalMemory::migrateData(Pfn pfn, SocketId target)
                    "migrateData: interior of a large page");
     ProcId owner = m.owner;
     std::optional<Pfn> fresh = large ? allocDataLarge(target, owner)
-                                     : allocData(target, owner);
+                                     : allocData(target, owner, m.va());
     if (!fresh)
         return std::nullopt;
     if (large)
@@ -256,7 +259,7 @@ PhysicalMemory::migrateData(Pfn pfn, SocketId target)
 }
 
 void
-PhysicalMemory::splitLargeData(Pfn head)
+PhysicalMemory::splitLargeData(Pfn head, VirtAddr base)
 {
     PageMeta &hm = meta(head);
     MITOSIM_ASSERT(hm.type == FrameType::Data &&
@@ -266,6 +269,7 @@ PhysicalMemory::splitLargeData(Pfn head)
         PageMeta &m = meta(p);
         m.flags = FrameFlagNone;
         m.replicaNext = p;
+        m.vpn = PageMeta::packVpn(base + (p - head) * PageSize);
     }
     auto &st = perSocket[static_cast<std::size_t>(socketOf(head))];
     --st.dataLargePages;
@@ -290,9 +294,11 @@ PhysicalMemory::compactData(Pfn pfn)
     d.level = 0;
     d.flags = FrameFlagNone;
     d.replicaNext = *dest;
+    d.vpn = m.vpn;
     m.type = FrameType::Free;
     m.owner = -1;
     m.replicaNext = InvalidPfn;
+    m.vpn = 0;
     alloc(s).freeFrame(pfn);
     // dataPages is unchanged: one frame freed, one allocated, same
     // socket.
@@ -313,9 +319,6 @@ PhysicalMemory::compactReservedPin(Pfn pfn)
     MITOSIM_ASSERT(isFragPinned(pfn),
                    "compactReservedPin: not a fragmentation filler");
     SocketId s = socketOf(pfn);
-    auto &list = fragPinned[static_cast<std::size_t>(s)];
-    auto it = std::find(list.begin(), list.end(), pfn);
-    MITOSIM_ASSERT(it != list.end());
     auto dest = alloc(s).allocFrameForCompaction(pfn);
     if (!dest)
         return false;
@@ -330,7 +333,6 @@ PhysicalMemory::compactReservedPin(Pfn pfn)
     m.flags = FrameFlagNone;
     m.replicaNext = InvalidPfn;
     alloc(s).freeFrame(pfn);
-    *it = *dest;
     return true;
 }
 
@@ -540,28 +542,31 @@ PhysicalMemory::ptPagesAt(SocketId socket, int level) const
 void
 PhysicalMemory::fragment(SocketId socket, double fraction, Rng &rng)
 {
-    auto pinned = alloc(socket).fragment(fraction, rng);
-    for (Pfn pfn : pinned) {
+    for (Pfn pfn : alloc(socket).fragment(fraction, rng)) {
         PageMeta &m = meta(pfn);
         m.type = FrameType::Reserved;
         m.flags = FrameFlagFragPin;
     }
-    auto &list = fragPinned[static_cast<std::size_t>(socket)];
-    list.insert(list.end(), pinned.begin(), pinned.end());
 }
 
 void
 PhysicalMemory::defragment(SocketId socket)
 {
-    auto &list = fragPinned[static_cast<std::size_t>(socket)];
-    for (Pfn pfn : list) {
+    // The filler mark in the metadata is the only record: collect
+    // first, since freeing changes the bitmaps being iterated.
+    FrameAllocator &a = alloc(socket);
+    std::vector<Pfn> pinned;
+    for (std::uint64_t b = 0; b < a.numBlocks(); ++b)
+        a.forEachAllocatedInBlock(b, [&](Pfn pfn) {
+            if (isFragPinned(pfn))
+                pinned.push_back(pfn);
+        });
+    for (Pfn pfn : pinned) {
         PageMeta &m = meta(pfn);
-        MITOSIM_ASSERT(m.type == FrameType::Reserved);
         m.type = FrameType::Free;
         m.flags = FrameFlagNone;
-        alloc(socket).freeFrame(pfn);
+        a.freeFrame(pfn);
     }
-    list.clear();
 }
 
 
@@ -719,7 +724,6 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     perSocket = src.perSocket;
     ptCache = src.ptCache;
     ptCacheTarget = src.ptCacheTarget;
-    fragPinned = src.fragPinned;
     ptLive = src.ptLive;
     // Share every materialized chunk copy-on-write: the first mutable
     // meta() touch detaches a private copy, so neither side can ever

@@ -79,15 +79,23 @@ class PhysicalMemory
     /// @name Data frames
     /// @{
 
-    /** Strictly allocate a 4 KB data frame on @p socket. */
-    std::optional<Pfn> allocData(SocketId socket, ProcId owner);
+    /**
+     * Strictly allocate a 4 KB data frame on @p socket for @p owner,
+     * which is about to map it at @p va: the frame's metadata records
+     * both (PageMeta::owner / vpn), the reverse map kcompactd reads.
+     * A caller that maps the frame elsewhere breaks vmcheck's VMA↔PTE
+     * invariant and makes the frame unmovable for compaction.
+     */
+    std::optional<Pfn> allocData(SocketId socket, ProcId owner,
+                                 VirtAddr va);
 
     /**
      * Allocate a 4 KB data frame, preferring @p preferred but falling back
      * to other sockets in nearest-first order (Linux's default behaviour
-     * when a node is exhausted).
+     * when a node is exhausted). Records @p owner and @p va as allocData.
      */
-    std::optional<Pfn> allocDataAny(SocketId preferred, ProcId owner);
+    std::optional<Pfn> allocDataAny(SocketId preferred, ProcId owner,
+                                    VirtAddr va);
 
     /** Strictly allocate a 2 MB data page on @p socket. */
     std::optional<Pfn> allocDataLarge(SocketId socket, ProcId owner);
@@ -95,7 +103,10 @@ class PhysicalMemory
     void freeData(Pfn pfn);
     void freeDataLarge(Pfn head);
 
-    /** Move a data frame to @p target socket; returns the new pfn. */
+    /**
+     * Move a data frame to @p target socket; returns the new pfn, which
+     * keeps the old frame's owner and virtual page.
+     */
     std::optional<Pfn> migrateData(Pfn pfn, SocketId target);
 
     /// @}
@@ -108,23 +119,26 @@ class PhysicalMemory
      * are dropped and the per-socket accounting moves from
      * dataLargePages to dataPages. The frame allocator's bitmap needs
      * no change — the block stays fully allocated, it just becomes
-     * per-frame reclaimable.
+     * per-frame reclaimable. Frame i records virtual page
+     * @p base + i * PageSize, @p base being the mapping's 2 MB-aligned
+     * address.
      */
-    void splitLargeData(Pfn head);
+    void splitLargeData(Pfn head, VirtAddr base);
 
     /**
      * kcompactd: relocate one 4 KB data frame into another partial
      * block on the *same* socket (never splitting a free block),
      * freeing its slot so nearly-empty blocks can drain back to fully
-     * free. Returns the new pfn; the caller rewrites the PTE.
+     * free. Returns the new pfn, which keeps the old frame's owner and
+     * virtual page; the caller rewrites the PTE.
      */
     std::optional<Pfn> compactData(Pfn pfn);
 
     /**
      * kcompactd: relocate one fragmentation-injector filler frame
      * (modelled as movable kernel memory) the same way. @p pfn must be
-     * a pinned filler of fragment(); the pin list is updated so
-     * defragment() stays balanced.
+     * a pinned filler of fragment(); the filler mark moves with it, so
+     * defragment() frees the new frame.
      */
     bool compactReservedPin(Pfn pfn);
 
@@ -272,17 +286,19 @@ class PhysicalMemory
 
     /**
      * Snapshot restore: copy the full frame state of @p src —
-     * allocators, stats, PT reserve caches and fragmentation pins are
-     * copied eagerly; metadata chunks and table-arena chunks (the
-     * host-backed 512-entry page-table storage) are shared
-     * copy-on-write, so a fork pays for a chunk only when it first
-     * writes to it. @p src must describe the same topology.
+     * allocators, stats and PT reserve caches are copied eagerly;
+     * metadata chunks and table-arena chunks (the host-backed
+     * 512-entry page-table storage) are shared copy-on-write, so a
+     * fork pays for a chunk only when it first writes to it. @p src
+     * must describe the same topology.
      */
     void cloneStateFrom(const PhysicalMemory &src);
 
     /// @name Fragmentation injection (Figure 11)
     /// @{
     void fragment(SocketId socket, double fraction, Rng &rng);
+
+    /** Free every filler frame of @p socket, in ascending pfn order. */
     void defragment(SocketId socket);
     /// @}
 
@@ -378,9 +394,6 @@ class PhysicalMemory
     // PT reserve caches: frames pre-allocated per socket.
     std::vector<std::vector<Pfn>> ptCache;
     std::vector<std::uint64_t> ptCacheTarget;
-
-    // Fragmentation filler frames, per socket, so we can undo.
-    std::vector<std::vector<Pfn>> fragPinned;
 
     // Live PT page counts [socket][level 0..4] (level index 1..4 used).
     std::vector<std::array<std::uint64_t, 5>> ptLive;

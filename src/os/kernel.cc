@@ -261,9 +261,9 @@ Kernel::populateVmaRange(Process &proc, const Vma &vma, VirtAddr start,
             cost.charge(pvops::FaultFixedCost);
             SocketId target =
                 chooseDataSocket(proc, va, faulting_socket, false);
-            auto pfn = physmem.allocData(target, proc.id());
+            auto pfn = physmem.allocData(target, proc.id(), va);
             if (!pfn)
-                pfn = physmem.allocDataAny(target, proc.id());
+                pfn = physmem.allocDataAny(target, proc.id(), va);
             if (!pfn)
                 fatal("populate: out of memory at va=0x%llx",
                       (unsigned long long)va);
@@ -713,15 +713,15 @@ Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
     // which would otherwise orphan the live leaf table (and its data
     // frames) and leave stale PWC entries pointing into it.
     VirtAddr huge_base = alignDown(va, LargePageSize);
-    bool slot_vacant = true;
-    if (Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
-        dir != InvalidPfn) {
-        pt::Pte slot{
-            mach.physmem().table(dir)[ptIndex(huge_base, PtLevel::L2)]};
-        slot_vacant = !slot.present();
-    }
-    if (vma->thpEnabled && slot_vacant && huge_base >= vma->start &&
-        huge_base + LargePageSize <= vma->end) {
+    auto slotVacant = [&] {
+        Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
+        return dir == InvalidPfn ||
+               !pt::Pte{physmem.tableView(
+                            dir)[ptIndex(huge_base, PtLevel::L2)]}
+                    .present();
+    };
+    if (vma->thpEnabled && huge_base >= vma->start &&
+        huge_base + LargePageSize <= vma->end && slotVacant()) {
         SocketId target = chooseDataSocket(proc, huge_base,
                                            faulting_socket, true);
         if (auto head = physmem.allocDataLarge(target, proc.id())) {
@@ -741,13 +741,13 @@ Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
     }
 
     SocketId target = chooseDataSocket(proc, va, faulting_socket, false);
-    auto pfn = physmem.allocData(target, proc.id());
+    VirtAddr page_va = alignDown(va, PageSize);
+    auto pfn = physmem.allocData(target, proc.id(), page_va);
     if (!pfn)
-        pfn = physmem.allocDataAny(target, proc.id());
+        pfn = physmem.allocDataAny(target, proc.id(), page_va);
     if (!pfn)
         return false;
     cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
-    VirtAddr page_va = alignDown(va, PageSize);
     if (!ops.map4K(proc.roots(), proc.id(), page_va, *pfn, flags,
                    proc.ptPolicy, faulting_socket, &cost)) {
         physmem.freeData(*pfn);

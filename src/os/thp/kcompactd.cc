@@ -18,14 +18,18 @@
  *  - anything else (page-table frames, 2 MB data, unscanned owners)
  *    makes the block unmovable and it is skipped.
  *
- * The pfn→(process, va) reverse map Linux keeps in struct page/rmap is
- * built per tick from the scanned processes' leaf entries, but only
- * for frames in this tick's candidate blocks: a frame enters a
- * candidate block mid-tick only as a compaction destination, and that
- * path updates the map itself.
+ * The pfn→(process, va) reverse map is the frame's own metadata, as
+ * Linux reads it from struct page: a small data frame records its
+ * owner and virtual page when it is mapped (PageMeta::owner / vpn),
+ * and migration and compaction carry both to the new frame. kcompactd
+ * trusts the record only if the owner is a scanned process and a raw
+ * walk finds a present 4 KB leaf there pointing at the frame. Beyond
+ * the per-socket block scan, a tick costs O(frames in the candidate
+ * blocks it visits), not O(mapped memory).
  */
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,63 +51,81 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     auto &ops = k.ptOps();
 
     // Source candidates per socket: nearly-free blocks, emptiest first
-    // (the cheapest reclaims), ties by block index for determinism.
+    // (the cheapest reclaims), ties by block index for determinism —
+    // a counting sort over used counts, blocks ascending within one.
     // Every relocation allocates and frees on its source frame's own
     // socket, so taking all sockets' lists up front sees the same
     // counts as taking each one when its socket's turn comes.
-    struct SocketCands
-    {
-        Pfn first = 0; //!< the socket's lowest pfn
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> list;
-        std::vector<bool> member; //!< by block; empty when list is
-    };
-    std::vector<SocketCands> cands(
+    const std::uint32_t max_used = std::min<std::uint32_t>(
+        cfg.compactMaxUsed, static_cast<std::uint32_t>(FramesPerLargePage));
+    std::vector<std::vector<std::uint64_t>> cands(
         static_cast<std::size_t>(machine.numSockets()));
+    std::vector<std::size_t> bucket(max_used + 2);
     bool any = false;
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
-        SocketCands &c = cands[static_cast<std::size_t>(s)];
-        c.first = alloc.firstPfn();
-        for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
+        auto candidate = [&](std::uint64_t b) {
             std::uint32_t used = alloc.blockUsedCount(b);
-            if (used > 0 && used <= cfg.compactMaxUsed)
-                c.list.emplace_back(used, b);
-        }
-        if (c.list.empty())
+            return used > 0 && used <= max_used ? used : 0u;
+        };
+        // bucket[u + 1] counts blocks with u used frames; the prefix
+        // sum turns bucket[u] into bucket u's first list position.
+        std::fill(bucket.begin(), bucket.end(), 0);
+        for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b)
+            if (std::uint32_t used = candidate(b))
+                ++bucket[used + 1];
+        for (std::size_t u = 1; u < bucket.size(); ++u)
+            bucket[u] += bucket[u - 1];
+        if (bucket.back() == 0)
             continue;
-        std::sort(c.list.begin(), c.list.end());
-        c.member.assign(alloc.numBlocks(), false);
-        for (const auto &entry : c.list)
-            c.member[entry.second] = true;
+        std::vector<std::uint64_t> &list =
+            cands[static_cast<std::size_t>(s)];
+        list.resize(bucket.back());
+        for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b)
+            if (std::uint32_t used = candidate(b))
+                list[bucket[used]++] = b;
         any = true;
     }
     if (!any)
         return;
 
-    // Reverse map (rmap): mapped 4 KB data pfn -> (process, va), for
-    // frames in candidate blocks only.
-    std::unordered_map<Pfn, std::pair<Process *, VirtAddr>> rmap;
-    for (Process *p : procs) {
-        ops.forEachLeaf(
-            p->roots(),
-            [&](VirtAddr va, pt::PteLoc, pt::Pte pte, PageSizeKind size) {
-                if (size != PageSizeKind::Base4K)
-                    return;
-                Pfn pfn = pte.pfn();
-                const SocketCands &c =
-                    cands[static_cast<std::size_t>(physmem.socketOf(pfn))];
-                if (!c.member.empty() &&
-                    c.member[(pfn - c.first) / FramesPerLargePage])
-                    rmap[pfn] = {p, va};
-            });
-    }
+    std::unordered_map<ProcId, Process *> scanned;
+    for (Process *p : procs)
+        scanned.emplace(p->id(), p);
 
+    // Where a frame of a candidate block is mapped: the leaf at the
+    // virtual page its metadata records, in its owner's primary tree.
+    // Fillers map nowhere (proc stays null).
+    struct Mapping
+    {
+        Process *proc = nullptr;
+        VirtAddr va = 0;
+        pt::WalkResult leaf;
+    };
+    // Movable data: a small data frame of a scanned owner, which a
+    // present 4 KB leaf at the recorded page points back at.
+    auto mappingOf = [&](Pfn p) -> std::optional<Mapping> {
+        const mem::PageMeta &m = physmem.meta(p);
+        if (m.type != mem::FrameType::Data ||
+            m.hasFlag(mem::FrameFlagLargeHead) ||
+            m.hasFlag(mem::FrameFlagLargeTail))
+            return std::nullopt;
+        auto owner = scanned.find(m.owner);
+        if (owner == scanned.end())
+            return std::nullopt;
+        pt::WalkResult cur = ops.walk(owner->second->roots(), m.va());
+        if (!cur.mapped || cur.size != PageSizeKind::Base4K ||
+            cur.leaf.pfn() != p)
+            return std::nullopt;
+        return Mapping{owner->second, m.va(), cur};
+    };
+
+    std::vector<Pfn> frames;
+    std::vector<Mapping> maps;
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
         unsigned budget = cfg.compactBlocksPerTick;
-        for (const auto &[used_snapshot, b] :
-             cands[static_cast<std::size_t>(s)].list) {
-            (void)used_snapshot;
+        for (std::uint64_t b : cands[static_cast<std::size_t>(s)]) {
             if (!budget)
                 break;
             // Earlier relocations may have drained or refilled this
@@ -112,7 +134,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             if (used == 0 || used > cfg.compactMaxUsed)
                 continue;
 
-            std::vector<Pfn> frames;
+            frames.clear();
             alloc.forEachAllocatedInBlock(
                 b, [&](Pfn p) { frames.push_back(p); });
 
@@ -120,18 +142,17 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             // block. Unmovable candidates cost no budget — a socket
             // full of PT-pinned near-empty blocks must not starve the
             // drainable ones behind them in the list.
+            maps.clear();
             bool movable = true;
             for (Pfn p : frames) {
-                if (physmem.isFragPinned(p))
-                    continue;
-                const mem::PageMeta &m = physmem.meta(p);
-                if (m.type == mem::FrameType::Data &&
-                    !m.hasFlag(mem::FrameFlagLargeHead) &&
-                    !m.hasFlag(mem::FrameFlagLargeTail) &&
-                    rmap.count(p))
-                    continue;
-                movable = false;
-                break;
+                if (physmem.isFragPinned(p)) {
+                    maps.emplace_back();
+                } else if (auto map = mappingOf(p)) {
+                    maps.push_back(*map);
+                } else {
+                    movable = false;
+                    break;
+                }
             }
             if (!movable) {
                 ++stats_.compactionFailures;
@@ -142,8 +163,10 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
 
             bool drained = true;
             std::vector<std::pair<Process *, VirtAddr>> moved;
-            for (Pfn p : frames) {
-                if (physmem.isFragPinned(p)) {
+            for (std::size_t i = 0; i < frames.size(); ++i) {
+                Pfn p = frames[i];
+                const Mapping &map = maps[i];
+                if (!map.proc) {
                     if (!physmem.compactReservedPin(p)) {
                         ++stats_.compactionFailures;
                         mCompactionFailures->inc();
@@ -156,7 +179,6 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
                     mPagesMoved->inc();
                     continue;
                 }
-                auto [proc, va] = rmap.at(p);
                 auto fresh = physmem.compactData(p);
                 if (!fresh) {
                     ++stats_.compactionFailures;
@@ -164,16 +186,13 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
                     drained = false;
                     break;
                 }
-                pt::WalkResult cur = ops.walk(proc->roots(), va);
-                MITOSIM_ASSERT(cur.mapped && cur.leaf.pfn() == p,
-                               "kcompactd: rmap out of date");
-                k.backend().setPte(proc->roots(), cur.loc,
-                                   cur.leaf.withPfn(*fresh), 1, cost);
+                // The block's own relocations rewrite other leaves
+                // only, so the pre-check's leaf is still current.
+                k.backend().setPte(map.proc->roots(), map.leaf.loc,
+                                   map.leaf.leaf.withPfn(*fresh), 1, cost);
                 if (cost)
                     cost->charge(pvops::PageCopyCost);
-                rmap.erase(p);
-                rmap[*fresh] = {proc, va};
-                moved.emplace_back(proc, va);
+                moved.emplace_back(map.proc, map.va);
                 ++stats_.compactionPagesMoved;
                 mPagesMoved->inc();
             }

@@ -184,7 +184,7 @@ ThpManager::splitAt(Process &proc, VirtAddr va, KernelCost *cost)
     if (!ops.split2M(proc.roots(), proc.id(), base, proc.ptPolicy, hint,
                      cost))
         return false;
-    physmem.splitLargeData(head);
+    physmem.splitLargeData(head, base);
     // The huge mapping was a single TLB entry; one targeted shootdown
     // also clears the covering PWC prefixes on every core.
     k.shootdown(proc, base, cost);

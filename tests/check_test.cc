@@ -120,7 +120,7 @@ TEST_F(CheckTest, LeafOutsideAnyVmaTrips)
     os::Process &p = kernel.createProcess("handmap", 0);
     // Map a page through the pt-ops layer with no VMA over it.
     VirtAddr va = 0x500000000ull;
-    auto pfn = machine.physmem().allocData(0, p.id());
+    auto pfn = machine.physmem().allocData(0, p.id(), va);
     ASSERT_TRUE(pfn.has_value());
     ASSERT_TRUE(kernel.ptOps().map4K(p.roots(), p.id(), va, *pfn,
                                      pt::PteWrite, p.ptPolicy, 0,
@@ -134,6 +134,40 @@ TEST_F(CheckTest, LeafOutsideAnyVmaTrips)
     kernel.destroyProcess(p); // destroy frees the hand-mapped leaf too
 }
 
+TEST_F(CheckTest, StaleFrameReverseMapTrips)
+{
+    os::Process &p = kernel.createProcess("rmap", 0);
+    auto region =
+        kernel.mmap(p, 4 * PageSize, os::MmapOptions{.populate = true});
+    Checker chk(kernel, collectAll());
+    chk.checkVmaPteAgreement();
+    ASSERT_TRUE(chk.violations().empty());
+
+    // A frame whose metadata names another virtual page: kcompactd
+    // would find no leaf there and treat the frame as unmovable.
+    Pfn pfn = kernel.ptOps().walk(p.roots(), region.start + PageSize)
+                  .leaf.pfn();
+    mem::PageMeta &m = machine.physmem().meta(pfn);
+    std::uint32_t vpn = m.vpn;
+    m.vpn = vpn + 1;
+    chk.checkVmaPteAgreement();
+    ASSERT_EQ(countClass(chk, CheckClass::VmaPteAgreement), 1);
+    EXPECT_EQ(chk.violations().front().vaStart, region.start + PageSize);
+
+    // ... or another owner.
+    m.vpn = vpn;
+    m.owner = p.id() + 1;
+    chk.clearViolations();
+    chk.checkVmaPteAgreement();
+    EXPECT_EQ(countClass(chk, CheckClass::VmaPteAgreement), 1);
+
+    m.owner = p.id();
+    chk.clearViolations();
+    chk.checkVmaPteAgreement();
+    EXPECT_TRUE(chk.violations().empty());
+    kernel.destroyProcess(p);
+}
+
 TEST_F(CheckTest, OrphanedFrameTrips)
 {
     os::Process &p = kernel.createProcess("orphan", 0);
@@ -141,7 +175,7 @@ TEST_F(CheckTest, OrphanedFrameTrips)
 
     // PR 5's pmd_none bug shape: a frame charged to a live process that
     // no page-table reaches any more.
-    auto orphan = machine.physmem().allocData(0, p.id());
+    auto orphan = machine.physmem().allocData(0, p.id(), 0);
     ASSERT_TRUE(orphan.has_value());
 
     Checker chk(kernel, collectAll());

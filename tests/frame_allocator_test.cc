@@ -416,7 +416,10 @@ TEST(FrameAllocator, RejectsUnalignedSizes)
     EXPECT_THROW(FrameAllocator(0, 0), SimError);
 }
 
-/** Property: random alloc/free sequences conserve frames exactly. */
+/**
+ * Property: random alloc/free sequences conserve frames exactly, and
+ * the fully-free block count matches a scan of the used counts.
+ */
 class FrameAllocatorProperty : public ::testing::TestWithParam<int>
 {
 };
@@ -459,6 +462,10 @@ TEST_P(FrameAllocatorProperty, RandomOpsConserveFrames)
         ASSERT_EQ(a.freeFrames() + small.size() +
                       large.size() * FramesPerBlock,
                   total);
+        std::uint64_t empty = 0;
+        for (std::uint64_t b = 0; b < a.numBlocks(); ++b)
+            empty += a.blockUsedCount(b) == 0 ? 1 : 0;
+        ASSERT_EQ(a.freeLargeBlocks(), empty);
     }
 
     for (Pfn p : small)

@@ -42,9 +42,9 @@ class MitosisBackendTest : public ::testing::Test
     ~MitosisBackendTest() override { ops.destroy(roots, nullptr); }
 
     Pfn
-    dataFrame(SocketId s)
+    dataFrame(SocketId s, VirtAddr va)
     {
-        auto pfn = pm.allocData(s, 1);
+        auto pfn = pm.allocData(s, 1, va);
         EXPECT_TRUE(pfn.has_value());
         return *pfn;
     }
@@ -57,7 +57,7 @@ class MitosisBackendTest : public ::testing::Test
         for (int i = 0; i < n; ++i) {
             VirtAddr va = 0x100000000ull +
                           static_cast<VirtAddr>(i) * LargePageSize;
-            EXPECT_TRUE(ops.map4K(roots, 1, va, dataFrame(i % 4),
+            EXPECT_TRUE(ops.map4K(roots, 1, va, dataFrame(i % 4, va),
                                   pt::PteWrite, policy, i % 4, nullptr));
             vas.push_back(va);
         }
@@ -161,7 +161,7 @@ TEST_F(MitosisBackendTest, NewMappingsPropagateEagerly)
 {
     ASSERT_TRUE(backend.setReplicationMask(roots, 1, SocketMask::all(4)));
     VirtAddr va = 0x200000000ull;
-    Pfn data = dataFrame(2);
+    Pfn data = dataFrame(2, va);
     ASSERT_TRUE(ops.map4K(roots, 1, va, data, pt::PteWrite, policy, 2,
                           nullptr));
     for (SocketId s = 0; s < 4; ++s) {
@@ -287,7 +287,7 @@ TEST_F(MitosisBackendTest, ReplicatedAllocCreatesLinkedSets)
 {
     ASSERT_TRUE(backend.setReplicationMask(roots, 1, SocketMask::all(4)));
     VirtAddr va = 0x300000000ull;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), pt::PteWrite,
+    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), pt::PteWrite,
                           policy, 0, nullptr));
     // The leaf table allocated by this mapping has 4 linked replicas.
     auto res = ops.walk(roots, va);
@@ -306,7 +306,7 @@ TEST_F(MitosisBackendTest, FixedSocketPolicyForcesPtAllocations)
 {
     backend.setSystemPolicy(SystemPolicy::FixedSocket, 3);
     VirtAddr va = 0x400000000ull;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), pt::PteWrite,
+    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), pt::PteWrite,
                           policy, 0, nullptr));
     auto res = ops.walk(roots, va);
     EXPECT_EQ(pm.socketOf(res.loc.ptPfn), 3);
@@ -316,7 +316,7 @@ TEST_F(MitosisBackendTest, AllProcessesPolicyReplicatesNewTables)
 {
     backend.setSystemPolicy(SystemPolicy::AllProcesses);
     VirtAddr va = 0x500000000ull;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), pt::PteWrite,
+    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), pt::PteWrite,
                           policy, 0, nullptr));
     auto res = ops.walk(roots, va);
     EXPECT_EQ(pm.replicaCount(res.loc.ptPfn), 4);
@@ -347,7 +347,7 @@ TEST_F(MitosisBackendTest, WalkModeChargesMoreThanListMode)
     pt::RootSet walk_roots;
     ASSERT_TRUE(walk_ops.createRoot(walk_roots, 2, 0, nullptr));
     VirtAddr va = 0x600000000ull;
-    ASSERT_TRUE(walk_ops.map4K(walk_roots, 2, va, dataFrame(0),
+    ASSERT_TRUE(walk_ops.map4K(walk_roots, 2, va, dataFrame(0, va),
                                pt::PteWrite, policy, 0, nullptr));
     ASSERT_TRUE(walk_backend.setReplicationMask(walk_roots, 2,
                                                 SocketMask::all(4)));
@@ -370,7 +370,7 @@ TEST_F(MitosisBackendTest, WalkModeChargesMoreThanListMode)
 TEST_F(MitosisBackendTest, DegradedAllocationKeepsWorking)
 {
     // Exhaust socket 3 so replication there fails gracefully.
-    while (pm.allocData(3, 9))
+    while (pm.allocData(3, 9, 0))
         ;
     mapSpread(2);
     ASSERT_TRUE(backend.setReplicationMask(roots, 1, SocketMask::all(4)));

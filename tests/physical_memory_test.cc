@@ -39,22 +39,25 @@ class PhysicalMemoryTest : public ::testing::Test
 TEST_F(PhysicalMemoryTest, DataAllocHomesOnRequestedSocket)
 {
     for (SocketId s = 0; s < 4; ++s) {
-        auto pfn = pm.allocData(s, 1);
+        VirtAddr va = 0x10000000000ull + static_cast<VirtAddr>(s) * PageSize;
+        auto pfn = pm.allocData(s, 1, va);
         ASSERT_TRUE(pfn.has_value());
         EXPECT_EQ(pm.socketOf(*pfn), s);
         EXPECT_EQ(pm.meta(*pfn).type, FrameType::Data);
         EXPECT_EQ(pm.meta(*pfn).owner, 1);
+        EXPECT_EQ(pm.meta(*pfn).va(), va);
     }
 }
 
 TEST_F(PhysicalMemoryTest, DataAnyFallsBackWhenSocketFull)
 {
     // Exhaust socket 0.
-    while (pm.allocData(0, 1))
+    while (pm.allocData(0, 1, 0))
         ;
-    auto pfn = pm.allocDataAny(0, 1);
+    auto pfn = pm.allocDataAny(0, 1, 0x7000);
     ASSERT_TRUE(pfn.has_value());
     EXPECT_NE(pm.socketOf(*pfn), 0);
+    EXPECT_EQ(pm.meta(*pfn).va(), 0x7000u);
 }
 
 TEST_F(PhysicalMemoryTest, LargeDataPageMarksHeadAndTails)
@@ -98,7 +101,7 @@ TEST_F(PhysicalMemoryTest, PtAllocIsZeroedAndSelfLinked)
 
 TEST_F(PhysicalMemoryTest, TableAccessOnDataFramePanics)
 {
-    auto pfn = pm.allocData(0, 1);
+    auto pfn = pm.allocData(0, 1, 0);
     ASSERT_TRUE(pfn.has_value());
 #ifdef NDEBUG
     // The type check sits on the per-PTE-read hot path and is
@@ -164,7 +167,7 @@ TEST_F(PhysicalMemoryTest, PtCacheServesAllocationsUnderPressure)
     pm.setPtCacheTarget(0, 8);
     EXPECT_EQ(pm.ptCacheSize(0), 8u);
     // Exhaust socket 0 entirely.
-    while (pm.allocData(0, 1))
+    while (pm.allocData(0, 1, 0))
         ;
     // Strict allocation fails, but the reserve saves the day (§5.1).
     auto pt = pm.allocPt(0, 1, 1);
@@ -178,7 +181,7 @@ TEST_F(PhysicalMemoryTest, FreePtRefillsCacheUpToTarget)
 {
     pm.setPtCacheTarget(1, 2);
     // Drain the cache by exhausting the socket and allocating PTs.
-    while (pm.allocData(1, 1))
+    while (pm.allocData(1, 1, 0))
         ;
     Pfn a = *pm.allocPt(1, 1, 1);
     Pfn b = *pm.allocPt(1, 1, 1);
@@ -199,7 +202,7 @@ TEST_F(PhysicalMemoryTest, PtCacheShrinkReturnsFrames)
 
 TEST_F(PhysicalMemoryTest, PtAllocFailureIsCounted)
 {
-    while (pm.allocData(3, 1))
+    while (pm.allocData(3, 1, 0))
         ;
     EXPECT_FALSE(pm.allocPt(3, 1, 1).has_value());
     EXPECT_EQ(pm.stats(3).ptAllocFailures, 1u);
@@ -207,13 +210,15 @@ TEST_F(PhysicalMemoryTest, PtAllocFailureIsCounted)
 
 TEST_F(PhysicalMemoryTest, MigrateDataMovesSocketAndPreservesOwner)
 {
-    auto pfn = pm.allocData(0, 5);
+    auto pfn = pm.allocData(0, 5, 0x42000);
     ASSERT_TRUE(pfn.has_value());
     auto fresh = pm.migrateData(*pfn, 3);
     ASSERT_TRUE(fresh.has_value());
     EXPECT_EQ(pm.socketOf(*fresh), 3);
     EXPECT_EQ(pm.meta(*fresh).owner, 5);
+    EXPECT_EQ(pm.meta(*fresh).va(), 0x42000u);
     EXPECT_TRUE(pm.meta(*pfn).isFree());
+    EXPECT_EQ(pm.meta(*pfn).vpn, 0u);
 }
 
 TEST_F(PhysicalMemoryTest, MigrateLargeDataPage)
@@ -231,14 +236,31 @@ TEST_F(PhysicalMemoryTest, FragmentationKillsLargeAllocsUntilDefrag)
     Rng rng(3);
     pm.fragment(0, 1.0, rng);
     EXPECT_FALSE(pm.allocDataLarge(0, 1).has_value());
-    EXPECT_TRUE(pm.allocData(0, 1).has_value());
+    EXPECT_TRUE(pm.allocData(0, 1, 0).has_value());
     pm.defragment(0);
     EXPECT_TRUE(pm.allocDataLarge(0, 1).has_value());
 }
 
+TEST_F(PhysicalMemoryTest, DefragmentFreesRelocatedFillers)
+{
+    Rng rng(5);
+    pm.fragment(0, 1.0, rng);
+    ASSERT_EQ(pm.freeLargeBlocks(0), 0u);
+    // Relocating block 0's filler drains that block; defragment must
+    // then find the filler at its new frame.
+    Pfn pin = InvalidPfn;
+    pm.allocator(0).forEachAllocatedInBlock(0, [&](Pfn p) { pin = p; });
+    ASSERT_TRUE(pm.compactReservedPin(pin));
+    EXPECT_FALSE(pm.isFragPinned(pin));
+    EXPECT_EQ(pm.freeLargeBlocks(0), 1u);
+    pm.defragment(0);
+    EXPECT_EQ(pm.freeLargeBlocks(0), pm.allocator(0).numBlocks());
+    EXPECT_EQ(pm.freeFrames(0), pm.allocator(0).totalFrames());
+}
+
 TEST_F(PhysicalMemoryTest, StatsTrackLiveCounts)
 {
-    auto d = pm.allocData(0, 1);
+    auto d = pm.allocData(0, 1, 0);
     auto p = pm.allocPt(0, 2, 1);
     EXPECT_EQ(pm.stats(0).dataPages, 1u);
     EXPECT_EQ(pm.stats(0).ptPages, 1u);

@@ -42,9 +42,9 @@ class PtOpsTest : public ::testing::Test
     ~PtOpsTest() override { ops.destroy(roots, nullptr); }
 
     Pfn
-    dataFrame(SocketId s)
+    dataFrame(SocketId s, VirtAddr va)
     {
-        auto pfn = pm.allocData(s, 1);
+        auto pfn = pm.allocData(s, 1, va);
         EXPECT_TRUE(pfn.has_value());
         frames.push_back(*pfn);
         return *pfn;
@@ -69,8 +69,8 @@ TEST_F(PtOpsTest, CreateRootPlacesOnRequestedSocket)
 
 TEST_F(PtOpsTest, Map4KThenWalkFindsLeaf)
 {
-    Pfn data = dataFrame(1);
     VirtAddr va = 0x12345000;
+    Pfn data = dataFrame(1, va);
     ASSERT_TRUE(ops.map4K(roots, 1, va, data, PteWrite | PteUser, policy,
                           0, nullptr));
     WalkResult res = ops.walk(roots, va);
@@ -87,7 +87,7 @@ TEST_F(PtOpsTest, WalkUnmappedReturnsNotMapped)
 
 TEST_F(PtOpsTest, MapAllocatesIntermediateLevels)
 {
-    Pfn data = dataFrame(0);
+    Pfn data = dataFrame(0, 0x40000000ull);
     ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull, data, PteWrite, policy,
                           0, nullptr));
     // Root + L3 + L2 + L1 = 4 pages.
@@ -101,10 +101,10 @@ TEST_F(PtOpsTest, MapAllocatesIntermediateLevels)
 
 TEST_F(PtOpsTest, AdjacentPagesShareIntermediates)
 {
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x1000, dataFrame(0), PteWrite, policy,
-                          0, nullptr));
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x2000, dataFrame(0), PteWrite, policy,
-                          0, nullptr));
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x1000, dataFrame(0, 0x1000), PteWrite,
+                          policy, 0, nullptr));
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x2000, dataFrame(0, 0x2000), PteWrite,
+                          policy, 0, nullptr));
     std::uint64_t total = 0;
     for (SocketId s = 0; s < 4; ++s) {
         for (int level = 1; level <= 4; ++level)
@@ -146,7 +146,7 @@ TEST_F(PtOpsTest, Map2MRejectsUnaligned)
 TEST_F(PtOpsTest, UnmapClearsLeafOnly)
 {
     VirtAddr va = 0x5000;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), PteWrite, policy, 0,
+    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), PteWrite, policy, 0,
                           nullptr));
     WalkResult res = ops.unmap(roots, va, nullptr);
     EXPECT_TRUE(res.mapped); // returns the old leaf
@@ -168,7 +168,7 @@ TEST_F(PtOpsTest, UnmapMissingIsNoop)
 TEST_F(PtOpsTest, ProtectTogglesWritable)
 {
     VirtAddr va = 0x9000;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), PteWrite, policy, 0,
+    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), PteWrite, policy, 0,
                           nullptr));
     ASSERT_TRUE(ops.protect(roots, va, 0, PteWrite, nullptr));
     EXPECT_FALSE(ops.walk(roots, va).leaf.writable());
@@ -179,7 +179,7 @@ TEST_F(PtOpsTest, ProtectTogglesWritable)
 TEST_F(PtOpsTest, ClearAccessedDirty)
 {
     VirtAddr va = 0xa000;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0),
+    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va),
                           PteWrite | PteAccessed | PteDirty, policy, 0,
                           nullptr));
     ASSERT_TRUE(ops.clearAccessedDirty(roots, va, PteAdMask, nullptr));
@@ -193,7 +193,7 @@ TEST_F(PtOpsTest, ForEachLeafVisitsAllMappings)
     std::set<VirtAddr> expect;
     for (int i = 0; i < 20; ++i) {
         VirtAddr va = 0x100000ull + static_cast<VirtAddr>(i) * PageSize;
-        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), PteWrite, policy,
+        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), PteWrite, policy,
                               0, nullptr));
         expect.insert(va);
     }
@@ -206,10 +206,11 @@ TEST_F(PtOpsTest, ForEachLeafVisitsAllMappings)
 
 TEST_F(PtOpsTest, ForEachTableCountsMatchLiveStats)
 {
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x1000, dataFrame(0), PteWrite, policy,
-                          0, nullptr));
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x80000000ull, dataFrame(0), PteWrite,
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x1000, dataFrame(0, 0x1000), PteWrite,
                           policy, 0, nullptr));
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x80000000ull,
+                          dataFrame(0, 0x80000000ull), PteWrite, policy, 0,
+                          nullptr));
     std::map<int, int> per_level;
     ops.forEachTable(roots, [&](Pfn, int level) { ++per_level[level]; });
     EXPECT_EQ(per_level[4], 1);
@@ -221,10 +222,9 @@ TEST_F(PtOpsTest, ForEachTableCountsMatchLiveStats)
 TEST_F(PtOpsTest, DestroyFreesEverything)
 {
     for (int i = 0; i < 10; ++i) {
-        ASSERT_TRUE(ops.map4K(roots, 1,
-                              0x200000ull + static_cast<VirtAddr>(i) *
-                                                PageSize,
-                              dataFrame(0), PteWrite, policy, 0, nullptr));
+        VirtAddr va = 0x200000ull + static_cast<VirtAddr>(i) * PageSize;
+        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), PteWrite,
+                              policy, 0, nullptr));
     }
     ops.destroy(roots, nullptr);
     std::uint64_t total = 0;
@@ -240,8 +240,9 @@ TEST_F(PtOpsTest, DestroyFreesEverything)
 TEST_F(PtOpsTest, FirstTouchPlacementFollowsFaultingSocket)
 {
     // Map pages "from" socket 2: new PT pages land there.
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull, dataFrame(2), PteWrite,
-                          policy, 2, nullptr));
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull,
+                          dataFrame(2, 0x40000000ull), PteWrite, policy, 2,
+                          nullptr));
     // The L3/L2/L1 created by this call are on socket 2 (root existed).
     EXPECT_EQ(pm.ptPagesAt(2, 3), 1u);
     EXPECT_EQ(pm.ptPagesAt(2, 2), 1u);
@@ -252,8 +253,9 @@ TEST_F(PtOpsTest, FixedPlacementOverridesFaultingSocket)
 {
     policy.mode = PtPlacement::Fixed;
     policy.fixedSocket = 3;
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull, dataFrame(0), PteWrite,
-                          policy, 0, nullptr));
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull,
+                          dataFrame(0, 0x40000000ull), PteWrite, policy, 0,
+                          nullptr));
     EXPECT_EQ(pm.ptPagesAt(3, 3), 1u);
     EXPECT_EQ(pm.ptPagesAt(3, 2), 1u);
     EXPECT_EQ(pm.ptPagesAt(3, 1), 1u);
@@ -266,7 +268,7 @@ TEST_F(PtOpsTest, InterleavePlacementSpreadsTables)
     for (int i = 0; i < 8; ++i) {
         VirtAddr va = 0x80000000ull +
                       static_cast<VirtAddr>(i) * LargePageSize;
-        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), PteWrite, policy,
+        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), PteWrite, policy,
                               0, nullptr));
     }
     // L1 tables must be spread over all four sockets.
@@ -281,8 +283,9 @@ TEST_F(PtOpsTest, InterleavePlacementSpreadsTables)
 TEST_F(PtOpsTest, KernelCostChargesForPtAllocations)
 {
     pvops::KernelCost cost;
-    ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull, dataFrame(0), PteWrite,
-                          policy, 0, &cost));
+    ASSERT_TRUE(ops.map4K(roots, 1, 0x40000000ull,
+                          dataFrame(0, 0x40000000ull), PteWrite, policy, 0,
+                          &cost));
     EXPECT_EQ(cost.ptPagesAllocated, 3u); // L3, L2, L1
     EXPECT_GT(cost.cycles, 0u);
     EXPECT_GE(cost.pteWrites, 4u); // 3 intermediate links + leaf
@@ -301,9 +304,9 @@ TEST_F(PtOpsTest, ForRangeVisitsIntersectingLeavesInOrder)
     // Sparse layout crossing an L1-table boundary (2 MB), with a hole.
     VirtAddr base = 0x40000000ull;
     for (std::uint64_t page : {0ull, 1ull, 3ull, 511ull, 512ull}) {
-        ASSERT_TRUE(ops.map4K(roots, 1, base + page * PageSize,
-                              dataFrame(0), PteWrite, policy, 0,
-                              nullptr));
+        VirtAddr va = base + page * PageSize;
+        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va), PteWrite,
+                              policy, 0, nullptr));
     }
 
     std::vector<VirtAddr> seen;

@@ -210,13 +210,13 @@ class RefExecutor
         }
 
         SocketId target = chooseDataSocket(va, fs, false);
-        auto pfn = pm.allocData(target, p.id());
+        VirtAddr page_va = alignDown(va, PageSize);
+        auto pfn = pm.allocData(target, p.id(), page_va);
         if (!pfn)
-            pfn = pm.allocDataAny(target, p.id());
+            pfn = pm.allocDataAny(target, p.id(), page_va);
         if (!pfn)
             return false;
         cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
-        VirtAddr page_va = alignDown(va, PageSize);
         if (!k.ptOps().map4K(p.roots(), p.id(), page_va, *pfn, flags,
                              p.ptPolicy, fs, &cost)) {
             pm.freeData(*pfn);

@@ -158,7 +158,7 @@ TEST_P(ReplicationProperty, RandomOpsPreserveInvariants)
             if (shadow.count(va))
                 break;
             SocketId ds = static_cast<SocketId>(rng.below(4));
-            auto pfn = pm.allocData(ds, 1);
+            auto pfn = pm.allocData(ds, 1, va);
             if (!pfn)
                 break;
             bool writable = rng.chance(0.7);

@@ -248,7 +248,7 @@ class RefExecutor
         SocketId hint = pm.socketOf(res.loc.ptPfn);
 
         ops.unmap(p.roots(), base, nullptr);
-        pm.splitLargeData(head);
+        pm.splitLargeData(head, base);
         for (unsigned i = 0; i < FramesPerLargePage; ++i) {
             ASSERT_TRUE(ops.map4K(p.roots(), p.id(),
                                   base + i * PageSize, head + i, flags,
@@ -309,12 +309,12 @@ class RefExecutor
                 return false;
             }
         }
-        auto pfn = pm.allocData(0, p.id());
+        VirtAddr page_va = alignDown(va, PageSize);
+        auto pfn = pm.allocData(0, p.id(), page_va);
         if (!pfn)
-            pfn = pm.allocDataAny(0, p.id());
+            pfn = pm.allocDataAny(0, p.id(), page_va);
         if (!pfn)
             return false;
-        VirtAddr page_va = alignDown(va, PageSize);
         if (!k.ptOps().map4K(p.roots(), p.id(), page_va, *pfn, flags,
                              p.ptPolicy, 0, nullptr)) {
             pm.freeData(*pfn);

@@ -5,10 +5,15 @@
  * the huge-page split path (explicit, partial-munmap/mprotect gated,
  * madvise boundaries), kcompactd block reclamation, madvise VMA
  * semantics, replica coherence under the Mitosis and lazy backends,
- * and the ExecContext-clock daemon ticks.
+ * the frame-metadata reverse map kcompactd reads, and the
+ * ExecContext-clock daemon ticks.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <utility>
 
 #include "src/analysis/pt_dump.h"
 #include "src/base/logging.h"
@@ -511,6 +516,123 @@ TEST(ThpCompaction, MakesCollapsePossibleAgain)
     };
     for (const auto &[name, value] : mirrored)
         EXPECT_EQ(mr.counter(name).value, value) << name;
+}
+
+/** pfn -> (owner, va) of every small data frame of one process. */
+using Rmap = std::map<Pfn, std::pair<ProcId, VirtAddr>>;
+
+/** The reverse map as the frames record it (PageMeta owner / vpn). */
+Rmap
+metaRmap(const mem::PhysicalMemory &pm, ProcId pid)
+{
+    Rmap out;
+    pm.forEachTouchedMeta([&](Pfn pfn, const mem::PageMeta &m) {
+        if (m.type == mem::FrameType::Data && m.owner == pid &&
+            !m.hasFlag(mem::FrameFlagLargeHead) &&
+            !m.hasFlag(mem::FrameFlagLargeTail))
+            out[pfn] = {m.owner, m.va()};
+    });
+    return out;
+}
+
+/** The reference: every present 4 KB leaf, found by walking the tree. */
+Rmap
+leafRmap(Kernel &k, Process &p)
+{
+    Rmap out;
+    k.ptOps().forEachLeaf(
+        p.roots(),
+        [&](VirtAddr va, pt::PteLoc, pt::Pte pte, PageSizeKind size) {
+            if (size == PageSizeKind::Base4K)
+                out[pte.pfn()] = {p.id(), va};
+        });
+    return out;
+}
+
+TEST(ThpReverseMap, FrameMetadataMatchesTheLeafWalk)
+{
+    // A seeded mix of faults (4 KB fallbacks under fragmentation),
+    // splits, collapses, AutoNUMA migrations, compaction ticks and
+    // munmaps over a replicated tree; after every step the reverse map
+    // kcompactd reads from the frames must equal a fresh leaf walk.
+    thp::ThpConfig cfg;
+    cfg.khugepaged = true;
+    cfg.kcompactd = true;
+    cfg.splitPartial = true;
+    Fixture f(Fixture::Backend::Mitosis, cfg);
+    auto &pm = f.machine.physmem();
+    const MmapOptions opts{.thp = true, .prot = ProtRead | ProtWrite};
+    const std::uint64_t pages = 8 * FramesPerLargePage;
+    f.kernel.mmapFixed(f.proc, Base, pages * PageSize, opts);
+
+    Rng rng(1515);
+    auto randomPage = [&] { return Base + rng.below(pages) * PageSize; };
+    auto randomCore = [&] {
+        return f.machine.topology().firstCoreOf(static_cast<SocketId>(
+            rng.below(static_cast<std::uint64_t>(f.machine.numSockets()))));
+    };
+    bool fragmented = false;
+    static const char *const names[] = {"fault", "split", "collapse",
+                                        "autonuma", "tick", "munmap",
+                                        "fragment"};
+    for (int step = 0; step < 400; ++step) {
+        unsigned op = static_cast<unsigned>(rng.below(7));
+        switch (op) {
+          case 0: {
+            VirtAddr va = randomPage();
+            std::uint64_t n = std::min<std::uint64_t>(
+                1 + rng.below(FramesPerLargePage),
+                (Base + pages * PageSize - va) / PageSize);
+            f.kernel.populate(f.proc, va, n * PageSize, randomCore());
+            break;
+          }
+          case 1:
+            f.kernel.thp().splitAt(f.proc, randomPage(), nullptr);
+            break;
+          case 2:
+            f.kernel.thp().collapseAt(
+                f.proc, alignDown(randomPage(), LargePageSize), nullptr);
+            break;
+          case 3:
+            for (int i = 0; i < 16; ++i) {
+                VirtAddr va = randomPage();
+                if (f.kernel.ptOps().walk(f.proc.roots(), va).mapped)
+                    f.kernel.autoNuma().onHintFault(f.proc, randomCore(),
+                                                   va);
+            }
+            break;
+          case 4:
+            f.kernel.thpTick();
+            break;
+          case 5: {
+            VirtAddr va = randomPage();
+            std::uint64_t n = std::min<std::uint64_t>(
+                1 + rng.below(64), (Base + pages * PageSize - va) / PageSize);
+            f.kernel.munmap(f.proc, va, n * PageSize);
+            f.kernel.mmapFixed(f.proc, va, n * PageSize, opts);
+            break;
+          }
+          case 6:
+            for (SocketId s = 0; s < f.machine.numSockets(); ++s) {
+                if (fragmented)
+                    pm.defragment(s);
+                else
+                    pm.fragment(s, 0.75, rng);
+            }
+            fragmented = !fragmented;
+            break;
+        }
+        ASSERT_EQ(metaRmap(pm, f.proc.id()), leafRmap(f.kernel, f.proc))
+            << "after step " << step << " (" << names[op] << ")";
+    }
+
+    // Every path that maps or moves a small frame was exercised.
+    const thp::ThpStats &ts = f.kernel.thp().stats();
+    EXPECT_GT(ts.splits, 0u);
+    EXPECT_GT(ts.collapses, 0u);
+    EXPECT_GT(ts.compactionPagesMoved, 0u);
+    EXPECT_GT(f.kernel.autoNuma().stats().pagesMigrated, 0u);
+    f.kernel.destroyProcess(f.proc);
 }
 
 TEST(ThpCoverage, TracksPromotionAndDemotion)

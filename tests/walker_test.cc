@@ -35,7 +35,7 @@ class WalkerTest : public ::testing::Test
     Pfn
     mapPage(VirtAddr va, SocketId data_socket, std::uint64_t flags)
     {
-        auto pfn = machine.physmem().allocData(data_socket, 1);
+        auto pfn = machine.physmem().allocData(data_socket, 1, va);
         EXPECT_TRUE(pfn.has_value());
         EXPECT_TRUE(ops.map4K(roots, 1, va, *pfn, flags, policy, 0,
                               nullptr));
@@ -85,7 +85,7 @@ TEST_F(WalkerTest, WalkLatencyReflectsPtPlacement)
     mapPage(near_va, 0, pt::PteWrite);
     policy.mode = pt::PtPlacement::Fixed;
     policy.fixedSocket = 1;
-    auto pfn = machine.physmem().allocData(0, 1);
+    auto pfn = machine.physmem().allocData(0, 1, far_va);
     ASSERT_TRUE(pfn.has_value());
     ASSERT_TRUE(ops.map4K(roots, 1, far_va, *pfn, pt::PteWrite, policy, 0,
                           nullptr));
