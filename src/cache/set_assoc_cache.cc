@@ -24,13 +24,15 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes, unsigned ways)
 {
     if (ways == 0)
         fatal("cache associativity must be nonzero");
+    if (ways > LruSets::MaxWays)
+        fatal("cache associativity above %u", LruSets::MaxWays);
     std::uint64_t total_lines = capacity_bytes / LineSize;
     if (total_lines < ways)
         fatal("cache capacity smaller than one set");
     sets = roundDownPow2(total_lines / ways);
-    tags.assign(sets * ways, ~0ull);
-    lrus.assign(sets * ways, 0);
-    memoMru_.assign(sets, ~0ull);
+    tags.assign(sets * ways, InvalidLine);
+    lru = LruSets(sets, ways);
+    memoMru_.assign(sets, InvalidLine);
 }
 
 void
@@ -38,11 +40,11 @@ SetAssocCache::invalidateLine(PhysAddr pa)
 {
     std::uint64_t line = lineAddr(pa);
     if (memoMru_[setOf(line)] == line)
-        memoMru_[setOf(line)] = ~0ull;
+        memoMru_[setOf(line)] = InvalidLine;
     std::size_t base = setOf(line) * numWays;
     for (unsigned w = 0; w < numWays; ++w) {
         if (tags[base + w] == line) {
-            tags[base + w] = ~0ull;
+            clearWay(setOf(line), w);
             ++stats_.invalidations;
             return;
         }
@@ -56,14 +58,14 @@ SetAssocCache::invalidateFrame(Pfn pfn)
     for (std::uint64_t line = first; line < first + (PageSize / LineSize);
          ++line) {
         if (memoMru_[setOf(line)] == line)
-            memoMru_[setOf(line)] = ~0ull;
+            memoMru_[setOf(line)] = InvalidLine;
     }
     for (std::uint64_t line = first; line < first + (PageSize / LineSize);
          ++line) {
         std::size_t base = setOf(line) * numWays;
         for (unsigned w = 0; w < numWays; ++w) {
             if (tags[base + w] == line) {
-                tags[base + w] = ~0ull;
+                clearWay(setOf(line), w);
                 ++stats_.invalidations;
                 break;
             }
@@ -74,8 +76,9 @@ SetAssocCache::invalidateFrame(Pfn pfn)
 void
 SetAssocCache::flush()
 {
-    std::fill(tags.begin(), tags.end(), ~0ull);
-    std::fill(memoMru_.begin(), memoMru_.end(), ~0ull);
+    std::fill(tags.begin(), tags.end(), InvalidLine);
+    lru.noteAllFreed();
+    std::fill(memoMru_.begin(), memoMru_.end(), InvalidLine);
 }
 
 } // namespace mitosim::cache

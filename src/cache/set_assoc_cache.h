@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/base/lru.h"
 #include "src/base/types.h"
 
 namespace mitosim::cache
@@ -60,17 +61,17 @@ class SetAssocCache
     {
         std::uint64_t line = lineAddr(pa);
         std::size_t set = setOf(line);
-        // Per-set MRU memo: the line most recently stamped in this set
+        // Per-set MRU memo: the line most recently used in this set
         // (hit, fill or refresh; cleared by every invalidation path).
         // A repeat probe skips the set scan. Exact by MRU idempotence:
-        // the memo line holds the newest stamp in its set — nothing in
-        // that set has been stamped since, or the memo would have been
-        // replaced — so the re-stamp a real probe would perform cannot
-        // change the relative stamp order true-LRU eviction depends
-        // on, and the hit counter is charged identically. Per-set
-        // (rather than one global last-line) so interleaved streams —
-        // a walker's PTE-line reads alternating with data lines, or
-        // two data streams — keep their memos alive independently.
+        // the memo line is already at the front of its set's recency
+        // order — nothing in that set has been touched since, or the
+        // memo would have been replaced — so the refresh a real probe
+        // would perform changes nothing, and the hit counter is charged
+        // identically. Per-set (rather than one global last-line) so
+        // interleaved streams — a walker's PTE-line reads alternating
+        // with data lines, or two data streams — keep their memos alive
+        // independently.
         if (line == memoMru_[set]) {
             ++stats_.hits;
             return true;
@@ -78,7 +79,7 @@ class SetAssocCache
         std::size_t base = set * numWays;
         for (unsigned w = 0; w < numWays; ++w) {
             if (tags[base + w] == line) {
-                lrus[base + w] = ++clock;
+                lru.touch(set, w);
                 ++stats_.hits;
                 memoMru_[set] = line;
                 return true;
@@ -90,6 +91,9 @@ class SetAssocCache
 
     /**
      * Insert the line containing @p pa (no-op if present; refreshes LRU).
+     * The presence check covers only the ways in front of the first
+     * free way, as the original in-order scan did: a line resident
+     * behind an invalidation hole is installed a second time.
      * @return the evicted line address, or ~0ull if none.
      */
     std::uint64_t
@@ -98,35 +102,26 @@ class SetAssocCache
         std::uint64_t line = lineAddr(pa);
         std::size_t set = setOf(line);
         std::size_t base = set * numWays;
-        std::size_t victim = base;
-        memoMru_[set] = line; // stamped below on every path
-        for (unsigned w = 0; w < numWays; ++w) {
-            std::size_t i = base + w;
-            if (tags[i] == line) { // already present
-                lrus[i] = ++clock;
-                return ~0ull;
+        memoMru_[set] = line; // touched below on every path
+        unsigned victim = victimWay(set);
+        unsigned end =
+            tags[base + victim] == InvalidLine ? victim : numWays;
+        for (unsigned w = 0; w < end; ++w) {
+            if (tags[base + w] == line) { // already present
+                lru.touch(set, w);
+                return InvalidLine;
             }
-            if (tags[i] == ~0ull) { // free way
-                tags[i] = line;
-                lrus[i] = ++clock;
-                return ~0ull;
-            }
-            if (lrus[victim] > lrus[i])
-                victim = i;
         }
-        std::uint64_t evicted = tags[victim];
-        tags[victim] = line;
-        lrus[victim] = ++clock;
-        ++stats_.evictions;
-        return evicted;
+        return fill(set, victim, line);
     }
 
     /**
-     * Fused lookup() + insert(): probe the set once and, on a miss,
-     * install the line during the same scan. Replacement decision, LRU
-     * stamps and statistics are identical to lookup(pa) followed by
-     * insert(pa) — this exists because the hierarchy's miss path always
-     * does exactly that pair, and the second set scan was pure waste.
+     * Fused lookup() + insert(): probe the set and, on a miss, install
+     * the line. Replacement decision, recency order and statistics are
+     * identical to lookup(pa) followed by insert(pa) — this exists
+     * because the hierarchy's miss path always does exactly that pair.
+     * A lookup miss means the line is nowhere in the set, so the fill
+     * needs no second presence check.
      * @return true on hit.
      */
     bool
@@ -141,35 +136,17 @@ class SetAssocCache
             ++stats_.hits;
             return true;
         }
-        memoMru_[set] = line; // every continuation below stamps this line
+        memoMru_[set] = line; // every continuation below touches it
         std::size_t base = set * numWays;
-        std::size_t victim = base;
-        bool free_way = false;
         for (unsigned w = 0; w < numWays; ++w) {
-            std::size_t i = base + w;
-            if (tags[i] == line) {
-                lrus[i] = ++clock;
+            if (tags[base + w] == line) {
+                lru.touch(set, w);
                 ++stats_.hits;
                 return true;
             }
-            // Victim choice mirrors insert(): first free way wins, else
-            // oldest LRU, earliest way on ties. A free way freezes the
-            // choice but the match scan must continue — invalidations
-            // can leave holes before a still-resident line.
-            if (!free_way) {
-                if (tags[i] == ~0ull) {
-                    victim = i;
-                    free_way = true;
-                } else if (lrus[victim] > lrus[i]) {
-                    victim = i;
-                }
-            }
         }
         ++stats_.misses;
-        if (!free_way)
-            ++stats_.evictions;
-        tags[victim] = line;
-        lrus[victim] = ++clock;
+        fill(set, victimWay(set), line);
         return false;
     }
 
@@ -187,38 +164,89 @@ class SetAssocCache
 
     /**
      * Charge @p n hits for fused same-line repeats (Core::accessRun)
-     * without re-probing. Exact by MRU idempotence: the line was
-     * stamped most-recent by the probe that opened the run, and
-     * true-LRU victim choice depends only on the relative stamp order
-     * within a set, so re-stamping the already-newest line cannot
-     * change any future hit, miss or eviction.
+     * without re-probing. Exact by MRU idempotence: the probe that
+     * opened the run made the line its set's most recently used, so
+     * refreshing it again cannot change any future hit, miss or
+     * eviction.
      */
     void noteFusedHits(std::uint64_t n) { stats_.hits += n; }
+
+    /**
+     * Visit every valid line as (slot, line number), where slot is
+     * set * associativity() + way and the line number is pa >> 6.
+     * Diagnostic/validation hook; not part of the timed path.
+     */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+            if (tags[i] != InvalidLine)
+                fn(i, tags[i]);
+        }
+    }
 
     std::uint64_t capacityBytes() const { return tags.size() * LineSize; }
     unsigned associativity() const { return numWays; }
     std::uint64_t numSets() const { return sets; }
 
   private:
+    /** Tag of a free way (no line address can equal it). */
+    static constexpr std::uint64_t InvalidLine = ~0ull;
+
     std::uint64_t lineAddr(PhysAddr pa) const { return pa >> LineShift; }
     std::size_t setOf(std::uint64_t line) const
     {
         return static_cast<std::size_t>(line & (sets - 1));
     }
 
+    /** The way of @p set to fill next (see src/base/lru.h). */
+    unsigned
+    victimWay(std::size_t set) const
+    {
+        const std::uint64_t *t = &tags[set * numWays];
+        return lru.victim(set,
+                          [t](unsigned w) { return t[w] == InvalidLine; });
+    }
+
+    /**
+     * Install @p line in @p way of @p set (its victimWay) and make it
+     * the set's most recently used line.
+     * @return the line it evicted, or InvalidLine for a free way.
+     */
+    std::uint64_t
+    fill(std::size_t set, unsigned way, std::uint64_t line)
+    {
+        std::size_t slot = set * numWays + way;
+        std::uint64_t evicted = tags[slot];
+        if (evicted != InvalidLine)
+            ++stats_.evictions;
+        else
+            lru.noteFilled(set);
+        tags[slot] = line;
+        lru.touch(set, way);
+        return evicted;
+    }
+
+    /** Empty way @p w of @p set, which holds a line. */
+    void
+    clearWay(std::size_t set, unsigned w)
+    {
+        tags[set * numWays + w] = InvalidLine;
+        lru.noteFreed(set);
+    }
+
     unsigned numWays;
     std::uint64_t sets;
-    // Struct of arrays, set-major: a probe scans only the packed tag
-    // vector (an 8-way set of tags is exactly one cache line; the old
-    // 16-byte {tag, lru} pairs spread it over two) and touches the LRU
-    // stamp of at most one way.
+    // Set-major: a probe scans only the packed tag vector (an 8-way
+    // set of tags is exactly one cache line); the replacement state is
+    // a separate O(1) recency list per set.
     std::vector<std::uint64_t> tags; //!< full line address, ~0 = invalid
-    std::vector<std::uint32_t> lrus; //!< higher = more recently used
-    std::uint32_t clock = 0;         //!< LRU timestamp source
+    LruSets lru;
     CacheStats stats_;
     /**
      * Per-set lookup memo (see lookup()/probeInsert()): the line most
-     * recently stamped in each set. ~0 is "empty" — it doubles as the
+     * recently used in each set. ~0 is "empty" — it doubles as the
      * invalid tag, so no real line can ever equal it.
      */
     std::vector<std::uint64_t> memoMru_;

@@ -291,7 +291,7 @@ Checker::checkVmaPteAgreement()
                     !m.hasFlag(mem::FrameFlagLargeHead) &&
                     !m.hasFlag(mem::FrameFlagLargeTail) &&
                     (m.owner != p->id() ||
-                     m.vpn != mem::PageMeta::packVpn(va))) {
+                     m.va() != va)) {
                     report({CheckClass::VmaPteAgreement, p->id(), va,
                             va + PageSize, InvalidSocket,
                             format("frame rmap pid %d va 0x%llx", p->id(),

@@ -16,7 +16,7 @@
  *  2. VMA <-> PTE agreement: every present leaf lies inside a VMA, a
  *     writable PTE never maps a read-only VMA, and every present 4 KB
  *     data leaf's frame records that leaf's process and virtual page
- *     (PageMeta::owner / vpn, the reverse map kcompactd reads).
+ *     (PageMeta::owner / va(), the reverse map kcompactd reads).
  *  3. Frame accounting: walking every page-table (all replicas) plus
  *     the fragmentation injector and PT reserve caches reaches exactly
  *     the frames the allocators say are allocated — no orphans, no

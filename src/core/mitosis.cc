@@ -1,5 +1,7 @@
 #include "mitosis.h"
 
+#include <utility>
+
 #include <vector>
 
 #include "src/base/logging.h"
@@ -325,20 +327,20 @@ MitosisBackend::readPte(const pt::RootSet &roots, pt::PteLoc loc,
     if (cost)
         cost->charge(IndirectionCost + pvops::PteReadCost);
 
-    std::uint64_t raw = mem.table(loc.ptPfn)[loc.index];
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    std::uint64_t raw = mem.tableView(loc.ptPfn)[loc.index];
+    Pfn p = std::as_const(mem).meta(loc.ptPfn).replicaNext;
     if (p != loc.ptPfn) {
         // OR the hardware-written bits across every replica (§5.4).
         auto *self = const_cast<MitosisBackend *>(this);
         ++self->stats_.adMergedReads;
         while (p != loc.ptPfn) {
-            raw |= mem.table(p)[loc.index] & pt::PteAdMask;
+            raw |= mem.tableView(p)[loc.index] & pt::PteAdMask;
             // The ring pointer shares the struct-page line with other
             // metadata the read path already touched; charge only the
             // PTE load itself.
             if (cost)
                 cost->charge(pvops::PteReadCost);
-            p = mem.meta(p).replicaNext;
+            p = std::as_const(mem).meta(p).replicaNext;
         }
     }
     return pt::Pte{raw};
@@ -354,16 +356,16 @@ MitosisBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
     if (cost)
         cost->charge((IndirectionCost + pvops::PteReadCost) * n);
 
-    std::uint64_t raw = mem.table(loc.ptPfn)[loc.index];
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    std::uint64_t raw = mem.tableView(loc.ptPfn)[loc.index];
+    Pfn p = std::as_const(mem).meta(loc.ptPfn).replicaNext;
     if (p != loc.ptPfn) {
         auto *self = const_cast<MitosisBackend *>(this);
         self->stats_.adMergedReads += n;
         while (p != loc.ptPfn) {
-            raw |= mem.table(p)[loc.index] & pt::PteAdMask;
+            raw |= mem.tableView(p)[loc.index] & pt::PteAdMask;
             if (cost)
                 cost->charge(pvops::PteReadCost * n);
-            p = mem.meta(p).replicaNext;
+            p = std::as_const(mem).meta(p).replicaNext;
         }
     }
     return pt::Pte{raw};

@@ -79,36 +79,48 @@ struct PageMeta
     /** Page-table level 1..4 for PageTable frames, 0 otherwise. */
     std::uint8_t level = 0;
 
-    std::uint16_t flags = FrameFlagNone;
+    /** FrameFlags; 12 bits, so assigning them never touches vpnHigh. */
+    std::uint16_t flags : 12 = FrameFlagNone;
 
     /**
      * Small data frames: the virtual page (va >> PageShift) the frame
-     * is mapped at in its owner, truncated to 32 bits (16 TiB of
-     * address space). Set when the frame gets its mapping
-     * (PhysicalMemory::allocData, splitLargeData) and carried along by
-     * migrateData and compactData; 0 otherwise. It fills what was
-     * padding, so PageMeta stays 24 bytes.
+     * is mapped at in its owner, 36 bits wide (vpnHigh:vpnLow), which
+     * covers a 48-bit virtual address space. Set when the frame gets
+     * its mapping (PhysicalMemory::allocData, splitLargeData) and
+     * carried along by migrateData and compactData; 0 otherwise. Read
+     * and write it through va() / setVa().
      */
-    std::uint32_t vpn = 0;
+    std::uint16_t vpnHigh : 4 = 0;
+    std::uint32_t vpnLow = 0;
 
     bool isPageTable() const { return type == FrameType::PageTable; }
     bool isFree() const { return type == FrameType::Free; }
     bool hasFlag(FrameFlags f) const { return (flags & f) != 0; }
     bool hasTable() const { return tableSlot != NoTableSlot; }
 
-    /** The 32-bit vpn field's encoding of @p va. */
-    static constexpr std::uint32_t
-    packVpn(VirtAddr va)
+    /** Highest virtual address the vpn fields can record, plus one. */
+    static constexpr VirtAddr VaLimit = 1ull << (PageShift + 36);
+
+    /** Virtual address of the recorded mapping (page aligned). */
+    VirtAddr
+    va() const
     {
-        return static_cast<std::uint32_t>(va >> PageShift);
+        return ((static_cast<VirtAddr>(vpnHigh) << 32) | vpnLow)
+               << PageShift;
     }
 
-    /** Virtual address of the recorded mapping (see vpn). */
-    VirtAddr va() const { return static_cast<VirtAddr>(vpn) << PageShift; }
+    /** Record the mapping's virtual address @p va (< VaLimit). */
+    void
+    setVa(VirtAddr va)
+    {
+        const std::uint64_t vpn = va >> PageShift;
+        vpnLow = static_cast<std::uint32_t>(vpn);
+        vpnHigh = static_cast<std::uint16_t>((vpn >> 32) & 0xf);
+    }
 };
 
 static_assert(sizeof(PageMeta) == 24,
-              "the vpn field must fit in PageMeta's former padding");
+              "the vpn fields must fit in PageMeta's former padding");
 
 static_assert(std::is_trivially_copyable_v<PageMeta>,
               "metadata chunks are copied and scrubbed wholesale");

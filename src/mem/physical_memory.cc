@@ -163,7 +163,8 @@ PhysicalMemory::allocData(SocketId socket, ProcId owner, VirtAddr va)
     m.level = 0;
     m.flags = FrameFlagNone;
     m.replicaNext = *pfn;
-    m.vpn = PageMeta::packVpn(va);
+    MITOSIM_ASSERT(va < PageMeta::VaLimit, "allocData: va beyond 48 bits");
+    m.setVa(va);
     ++perSocket[static_cast<std::size_t>(socket)].dataPages;
     return pfn;
 }
@@ -212,7 +213,7 @@ PhysicalMemory::freeData(Pfn pfn)
     m.type = FrameType::Free;
     m.owner = -1;
     m.replicaNext = InvalidPfn;
-    m.vpn = 0;
+    m.setVa(0);
     SocketId s = socketOf(pfn);
     --perSocket[static_cast<std::size_t>(s)].dataPages;
     alloc(s).freeFrame(pfn);
@@ -231,7 +232,7 @@ PhysicalMemory::freeDataLarge(Pfn head)
         m.owner = -1;
         m.flags = FrameFlagNone;
         m.replicaNext = InvalidPfn;
-        m.vpn = 0;
+        m.setVa(0);
     }
     SocketId s = socketOf(head);
     --perSocket[static_cast<std::size_t>(s)].dataLargePages;
@@ -269,7 +270,7 @@ PhysicalMemory::splitLargeData(Pfn head, VirtAddr base)
         PageMeta &m = meta(p);
         m.flags = FrameFlagNone;
         m.replicaNext = p;
-        m.vpn = PageMeta::packVpn(base + (p - head) * PageSize);
+        m.setVa(base + (p - head) * PageSize);
     }
     auto &st = perSocket[static_cast<std::size_t>(socketOf(head))];
     --st.dataLargePages;
@@ -294,11 +295,11 @@ PhysicalMemory::compactData(Pfn pfn)
     d.level = 0;
     d.flags = FrameFlagNone;
     d.replicaNext = *dest;
-    d.vpn = m.vpn;
+    d.setVa(m.va());
     m.type = FrameType::Free;
     m.owner = -1;
     m.replicaNext = InvalidPfn;
-    m.vpn = 0;
+    m.setVa(0);
     alloc(s).freeFrame(pfn);
     // dataPages is unchanged: one frame freed, one allocated, same
     // socket.

@@ -82,7 +82,7 @@ class PhysicalMemory
     /**
      * Strictly allocate a 4 KB data frame on @p socket for @p owner,
      * which is about to map it at @p va: the frame's metadata records
-     * both (PageMeta::owner / vpn), the reverse map kcompactd reads.
+     * both (PageMeta::owner / va()), the reverse map kcompactd reads.
      * A caller that maps the frame elsewhere breaks vmcheck's VMA↔PTE
      * invariant and makes the frame unmovable for compaction.
      */
@@ -190,8 +190,11 @@ class PhysicalMemory
 
     /**
      * Flat read-only view of a PT frame's 512-entry storage: never
-     * detaches, never materializes. The walker's descent, pt/operations
-     * range sweeps and vmcheck's coherence scan all read through here.
+     * detaches, never materializes. Every pure read goes through here:
+     * the walker's descent, all of pt/operations (walks, descents,
+     * range sweeps, tree visits — it writes only through PV-Ops), the
+     * backends' readPte paths and vmcheck's coherence scan. The
+     * mutable table() is for PTE stores.
      */
     const std::uint64_t *
     tableView(Pfn pfn) const

@@ -20,7 +20,7 @@
  *
  * The pfn→(process, va) reverse map is the frame's own metadata, as
  * Linux reads it from struct page: a small data frame records its
- * owner and virtual page when it is mapped (PageMeta::owner / vpn),
+ * owner and virtual page when it is mapped (PageMeta::owner / va()),
  * and migration and compaction carry both to the new frame. kcompactd
  * trusts the record only if the owner is a scanned process and a raw
  * walk finds a present 4 KB leaf there pointing at the frame. Beyond

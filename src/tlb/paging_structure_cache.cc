@@ -1,5 +1,7 @@
 #include "paging_structure_cache.h"
 
+#include <algorithm>
+
 #include "src/base/logging.h"
 
 namespace mitosim::tlb
@@ -12,7 +14,7 @@ PagingStructureCache::Level::resize(unsigned n)
     cr3s.assign(n, InvalidPfn);
     asids.assign(n, 0);
     tablePfns.assign(n, InvalidPfn);
-    lrus.assign(n, 0);
+    lru = LruSets(1, n);
 }
 
 void
@@ -21,15 +23,15 @@ PagingStructureCache::Level::invalidate(VirtAddr va)
     std::uint64_t tag = va >> tagShift;
     for (std::size_t i = 0; i < vaTags.size(); ++i) {
         if (vaTags[i] == tag)
-            cr3s[i] = InvalidPfn;
+            clear(i);
     }
 }
 
 void
 PagingStructureCache::Level::flush()
 {
-    for (auto &c : cr3s)
-        c = InvalidPfn;
+    std::fill(cr3s.begin(), cr3s.end(), InvalidPfn);
+    lru.noteAllFreed();
 }
 
 void
@@ -37,7 +39,7 @@ PagingStructureCache::Level::flushAsid(Asid asid)
 {
     for (std::size_t i = 0; i < cr3s.size(); ++i) {
         if (asids[i] == asid)
-            cr3s[i] = InvalidPfn;
+            clear(i);
     }
 }
 
@@ -45,6 +47,9 @@ PagingStructureCache::PagingStructureCache(const PwcConfig &config)
 {
     MITOSIM_ASSERT(config.pml4eEntries > 0 && config.pdpteEntries > 0 &&
                    config.pdeEntries > 0);
+    MITOSIM_ASSERT(config.pml4eEntries <= LruSets::MaxWays &&
+                   config.pdpteEntries <= LruSets::MaxWays &&
+                   config.pdeEntries <= LruSets::MaxWays);
     pml4e.resize(config.pml4eEntries);
     pml4e.tagShift = PageShift + 3 * PtIndexBits; // 39
     pdpte.resize(config.pdpteEntries);

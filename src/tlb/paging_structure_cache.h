@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/base/lru.h"
 #include "src/base/types.h"
 
 namespace mitosim::tlb
@@ -81,11 +82,11 @@ class PagingStructureCache
     {
         Probe p;
         // MRU memo over the pde level (the first and longest scan of
-        // every probe): the most recently stamped pde entry, cleared
-        // by every invalidation path. Exact by MRU idempotence — the
-        // memo entry's stamp is the newest in the (fully-associative)
-        // pde array, so skipping the re-stamp cannot change any LRU
-        // victim choice, and the hit counter and probe result are
+        // every probe): the most recently used pde entry, cleared by
+        // every invalidation path. Exact by MRU idempotence — the memo
+        // entry is already the most recently used of the (fully-
+        // associative) pde array, so skipping the refresh cannot change
+        // any LRU victim choice, and the hit counter and probe result are
         // exactly the scan's. Sequential walk streams (populate, range
         // sweeps) hit the same 2 MB prefix for 512 walks in a row.
         if ((va >> PdeShift) == memoTag_ && cr3 == memoCr3_ &&
@@ -96,7 +97,7 @@ class PagingStructureCache
             return p;
         }
         if (std::size_t s = pde.find(cr3, asid_, va); s != npos) {
-            pde.lrus[s] = ++clock;
+            pde.touch(s);
             ++stats_.hits;
             p.startLevel = 1;
             p.tablePfn = pde.tablePfns[s];
@@ -104,14 +105,14 @@ class PagingStructureCache
             return p;
         }
         if (std::size_t s = pdpte.find(cr3, asid_, va); s != npos) {
-            pdpte.lrus[s] = ++clock;
+            pdpte.touch(s);
             ++stats_.hits;
             p.startLevel = 2;
             p.tablePfn = pdpte.tablePfns[s];
             return p;
         }
         if (std::size_t s = pml4e.find(cr3, asid_, va); s != npos) {
-            pml4e.lrus[s] = ++clock;
+            pml4e.touch(s);
             ++stats_.hits;
             p.startLevel = 3;
             p.tablePfn = pml4e.tablePfns[s];
@@ -133,14 +134,14 @@ class PagingStructureCache
     {
         switch (level) {
           case 3:
-            pml4e.insert(cr3, asid_, va, table_pfn, ++clock);
+            pml4e.insert(cr3, asid_, va, table_pfn);
             break;
           case 2:
-            pdpte.insert(cr3, asid_, va, table_pfn, ++clock);
+            pdpte.insert(cr3, asid_, va, table_pfn);
             break;
           case 1:
-            pde.insert(cr3, asid_, va, table_pfn, ++clock);
-            noteMru(cr3, va, table_pfn); // freshest stamp in the level
+            pde.insert(cr3, asid_, va, table_pfn);
+            noteMru(cr3, va, table_pfn); // most recent in the level
             break;
           default:
             panic("PWC fill with bad level %d", level);
@@ -188,12 +189,11 @@ class PagingStructureCache
      * the packed vaTag vector is scanned first (it is the most
      * discriminating field for a single process, and the whole pde
      * level's tags fit in four cache lines), cr3 / ASID confirm only
-     * on a tag match. Scan order, the free-slot early break in insert,
-     * and the lowest-LRU tiebreak are identical to the old slot scan,
-     * so victim choice — and therefore every simulated outcome — is
-     * unchanged. Emptiness is keyed on cr3 == InvalidPfn, exactly as
-     * before (invalidate/flush leave stale vaTags behind, which can
-     * never match because a live cr3 is never InvalidPfn).
+     * on a tag match. Emptiness is keyed on cr3 == InvalidPfn
+     * (invalidate/flush leave stale vaTags behind, which can never
+     * match because a live cr3 is never InvalidPfn). Replacement
+     * state is an O(1) recency list over the level's slots, one set in
+     * src/base/lru.h's terms.
      */
     struct Level
     {
@@ -201,7 +201,7 @@ class PagingStructureCache
         std::vector<Pfn> cr3s; //!< InvalidPfn = empty slot
         std::vector<Asid> asids;
         std::vector<Pfn> tablePfns;
-        std::vector<std::uint32_t> lrus;
+        LruSets lru;
         unsigned tagShift; //!< VA bits above this shift form the tag
 
         /**
@@ -230,37 +230,55 @@ class PagingStructureCache
             return npos;
         }
 
+        /** Make slot @p i the level's most recently used. */
+        void touch(std::size_t i) { lru.touch(0, static_cast<unsigned>(i)); }
+
+        /**
+         * Install (or refresh) the entry for (@p cr3, @p asid, @p va).
+         * The victim is the first empty slot, else the least recently
+         * used; the match check covers only the slots in front of the
+         * first empty one, as the original in-order scan did.
+         */
         void
-        insert(Pfn cr3, Asid asid, VirtAddr va, Pfn table,
-               std::uint32_t now)
+        insert(Pfn cr3, Asid asid, VirtAddr va, Pfn table)
         {
             everInserted = true;
             std::uint64_t tag = va >> tagShift;
-            std::size_t victim = 0;
-            for (std::size_t i = 0; i < vaTags.size(); ++i) {
-                if (cr3s[i] == cr3 && asids[i] == asid &&
-                    vaTags[i] == tag) {
+            const Pfn *c = cr3s.data();
+            unsigned victim = lru.victim(
+                0, [c](unsigned i) { return c[i] == InvalidPfn; });
+            const bool was_free = c[victim] == InvalidPfn;
+            std::size_t end = was_free ? victim : cr3s.size();
+            for (std::size_t i = 0; i < end; ++i) {
+                if (vaTags[i] == tag && cr3s[i] == cr3 &&
+                    asids[i] == asid) {
                     tablePfns[i] = table;
-                    lrus[i] = now;
+                    touch(i);
                     return;
                 }
-                if (cr3s[i] == InvalidPfn) {
-                    victim = i;
-                    break;
-                }
-                if (lrus[i] < lrus[victim])
-                    victim = i;
             }
+            if (was_free)
+                lru.noteFilled(0);
             cr3s[victim] = cr3;
             asids[victim] = asid;
             vaTags[victim] = tag;
             tablePfns[victim] = table;
-            lrus[victim] = now;
+            touch(victim);
         }
 
         void invalidate(VirtAddr va);
         void flush();
         void flushAsid(Asid asid);
+
+        /** Empty slot @p i if it holds an entry. */
+        void
+        clear(std::size_t i)
+        {
+            if (cr3s[i] != InvalidPfn) {
+                cr3s[i] = InvalidPfn;
+                lru.noteFreed(0);
+            }
+        }
 
         /** Visit every valid slot as (cr3, asid, tablePfn). */
         template <typename Fn>
@@ -281,7 +299,6 @@ class PagingStructureCache
     Level pdpte;
     Level pde;
     Asid asid_ = 0;
-    std::uint32_t clock = 0;
     PwcStats stats_;
     /**
      * pde-level MRU memo (see lookup()): ~0 tag = empty (no shifted VA

@@ -24,12 +24,13 @@ roundDownPow2(std::uint64_t v)
 TwoLevelTlb::Array::Array(unsigned num_entries, unsigned ways)
     : numWays(ways)
 {
-    MITOSIM_ASSERT(ways > 0 && num_entries >= ways);
+    MITOSIM_ASSERT(ways > 0 && ways <= LruSets::MaxWays &&
+                   num_entries >= ways);
     sets = roundDownPow2(num_entries / ways);
     tags.assign(sets * ways, InvalidTag);
     asids.assign(sets * ways, 0);
     entries.assign(sets * ways, TlbEntry{});
-    lrus.assign(sets * ways, 0);
+    lru = LruSets(sets, ways);
 }
 
 void
@@ -37,10 +38,13 @@ TwoLevelTlb::Array::invalidate(std::uint64_t tag)
 {
     // Shootdowns broadcast: the same page may be cached under several
     // ASIDs (one per tenant that touched it before a remap).
-    std::size_t base = static_cast<std::size_t>(tag & (sets - 1)) * numWays;
+    std::size_t set = static_cast<std::size_t>(tag & (sets - 1));
+    std::size_t base = set * numWays;
     for (unsigned w = 0; w < numWays; ++w) {
-        if (tags[base + w] == tag)
+        if (tags[base + w] == tag) {
             tags[base + w] = InvalidTag;
+            lru.noteFreed(set);
+        }
     }
 }
 
@@ -48,14 +52,17 @@ void
 TwoLevelTlb::Array::flush()
 {
     std::fill(tags.begin(), tags.end(), InvalidTag);
+    lru.noteAllFreed();
 }
 
 void
 TwoLevelTlb::Array::flushAsid(Asid asid)
 {
     for (std::size_t i = 0; i < tags.size(); ++i) {
-        if (asids[i] == asid)
+        if (asids[i] == asid && tags[i] != InvalidTag) {
             tags[i] = InvalidTag;
+            lru.noteFreed(i / numWays);
+        }
     }
 }
 

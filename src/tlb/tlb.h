@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/lru.h"
 #include "src/base/types.h"
 
 namespace mitosim::tlb
@@ -115,18 +116,16 @@ class TwoLevelTlb
     {
         TlbLookupResult res;
 
-        // MRU memo: a decoded copy of the most recently stamped L1
-        // entry (set by every L1 hit, promote and insert; cleared by
-        // every invalidation path). A repeat probe of the same page
-        // under the same ASID short-circuits the whole set scan.
-        // Exact, not approximate: the memo entry carries the newest
-        // LRU stamp in its L1 set (nothing else in that set has been
-        // stamped since, or the memo would have been replaced), so the
-        // re-stamp a real probe would perform cannot change the
-        // relative stamp order true-LRU victim choice depends on —
-        // and the counter/latency effects charged here are exactly
-        // the real L1-hit path's. Skipping the ++clock tick is
-        // equally invisible: stamps stay unique and ordered.
+        // MRU memo: a decoded copy of the most recently used L1 entry
+        // (set by every L1 hit, promote and insert; cleared by every
+        // invalidation path). A repeat probe of the same page under
+        // the same ASID short-circuits the whole set scan. Exact, not
+        // approximate: the memo entry is already the most recently
+        // used of its L1 set (nothing else in that set has been
+        // touched since, or the memo would have been replaced), so the
+        // refresh a real probe would perform changes no recency order
+        // — and the counter/latency effects charged here are exactly
+        // the real L1-hit path's.
         if ((va & memoMask_) == memoBase_ && asid_ == memoAsid_) {
             ++stats_.l1Hits;
             res.hit = true;
@@ -159,7 +158,7 @@ class TwoLevelTlb
         if (saw4K_) {
             if (std::size_t s = l1Small.find(tag4K(va), asid_);
                 s != Array::npos) {
-                l1Small.touch(s, ++clock);
+                l1Small.touch(tag4K(va), s);
                 ++stats_.l1Hits;
                 res.hit = true;
                 res.hitLevel = 1;
@@ -172,7 +171,7 @@ class TwoLevelTlb
         if (sawLarge_) {
             if (std::size_t s = l1Large.find(tag2M(va), asid_);
                 s != Array::npos) {
-                l1Large.touch(s, ++clock);
+                l1Large.touch(tag2M(va), s);
                 ++stats_.l1Hits;
                 res.hit = true;
                 res.hitLevel = 1;
@@ -187,13 +186,13 @@ class TwoLevelTlb
         if (saw4K_) {
             if (std::size_t s = l2.find(tag4K(va), asid_);
                 s != Array::npos) {
-                l2.touch(s, ++clock);
+                l2.touch(tag4K(va), s);
                 ++stats_.l2Hits;
                 res.hit = true;
                 res.hitLevel = 2;
                 res.latency = cfg.l2HitLatency;
                 res.entry = l2.entryAt(s);
-                l1Small.insert(tag4K(va), asid_, res.entry, ++clock);
+                l1Small.insert(tag4K(va), asid_, res.entry);
                 noteMru(va, res.entry);
                 return res;
             }
@@ -201,13 +200,13 @@ class TwoLevelTlb
         if (cfg.l2Holds2M && sawLarge_) {
             if (std::size_t s = l2.find(tag2M(va) | LargeTagBit, asid_);
                 s != Array::npos) {
-                l2.touch(s, ++clock);
+                l2.touch(tag2M(va) | LargeTagBit, s);
                 ++stats_.l2Hits;
                 res.hit = true;
                 res.hitLevel = 2;
                 res.latency = cfg.l2HitLatency;
                 res.entry = l2.entryAt(s);
-                l1Large.insert(tag2M(va), asid_, res.entry, ++clock);
+                l1Large.insert(tag2M(va), asid_, res.entry);
                 noteMru(va, res.entry);
                 return res;
             }
@@ -231,13 +230,13 @@ class TwoLevelTlb
         }
         if (entry.size == PageSizeKind::Base4K) {
             saw4K_ = true;
-            l1Small.insert(tag4K(va), asid_, entry, ++clock);
-            l2.insert(tag4K(va), asid_, entry, ++clock);
+            l1Small.insert(tag4K(va), asid_, entry);
+            l2.insert(tag4K(va), asid_, entry);
         } else {
             sawLarge_ = true;
-            l1Large.insert(tag2M(va), asid_, entry, ++clock);
+            l1Large.insert(tag2M(va), asid_, entry);
             if (cfg.l2Holds2M)
-                l2.insert(tag2M(va) | LargeTagBit, asid_, entry, ++clock);
+                l2.insert(tag2M(va) | LargeTagBit, asid_, entry);
         }
         noteMru(va, entry);
     }
@@ -261,11 +260,10 @@ class TwoLevelTlb
 
     /**
      * Charge @p n L1 hits for fused same-page repeats (Core::accessRun)
-     * without re-probing. Exact by MRU idempotence: the repeated entry
-     * was stamped most-recent by the probe that opened the run, and
-     * true-LRU victim choice depends only on the *relative* stamp
-     * order within a set, so re-stamping the already-newest entry
-     * cannot change any future hit, miss or eviction.
+     * without re-probing. Exact by MRU idempotence: the probe that
+     * opened the run made the repeated entry its set's most recently
+     * used, so refreshing it again cannot change any future hit, miss
+     * or eviction.
      */
     void noteFusedL1Hits(std::uint64_t n) { stats_.l1Hits += n; }
 
@@ -284,10 +282,7 @@ class TwoLevelTlb
      * tag vector is the only thing a find touches until it hits (the
      * ASID vector is read per way only after its tag matched, which is
      * rare outside the hit way), so a whole set's tags land in one or
-     * two cache lines instead of one per slot. Victim selection in
-     * insert is decision-identical to the old slot scan: matching or
-     * first-free way wins immediately, else the earliest way with the
-     * lowest LRU stamp.
+     * two cache lines instead of one per slot.
      */
     class Array
     {
@@ -309,9 +304,12 @@ class TwoLevelTlb
             return npos;
         }
 
-        void touch(std::size_t slot, std::uint32_t now)
+        /** Make @p slot, find(@p tag)'s result, its set's most recent. */
+        void
+        touch(std::uint64_t tag, std::size_t slot)
         {
-            lrus[slot] = now;
+            std::size_t set = static_cast<std::size_t>(tag & (sets - 1));
+            lru.touch(set, static_cast<unsigned>(slot - set * numWays));
         }
 
         const TlbEntry &entryAt(std::size_t slot) const
@@ -319,27 +317,37 @@ class TwoLevelTlb
             return entries[slot];
         }
 
+        /**
+         * Install (or refresh) @p tag under @p asid. The victim is the
+         * first free way, else the least recently used (src/base/lru.h);
+         * the match check covers only the ways in front of the first
+         * free way, as the original in-order scan did (a translation
+         * resident behind an invalidation hole is installed a second
+         * time).
+         */
         void
-        insert(std::uint64_t tag, Asid asid, const TlbEntry &entry,
-               std::uint32_t now)
+        insert(std::uint64_t tag, Asid asid, const TlbEntry &entry)
         {
-            std::size_t base =
-                static_cast<std::size_t>(tag & (sets - 1)) * numWays;
-            std::size_t victim = base;
-            for (unsigned w = 0; w < numWays; ++w) {
-                std::size_t i = base + w;
-                if ((tags[i] == tag && asids[i] == asid) ||
-                    tags[i] == InvalidTag) {
-                    victim = i;
-                    break;
+            std::size_t set = static_cast<std::size_t>(tag & (sets - 1));
+            std::size_t base = set * numWays;
+            const std::uint64_t *t = &tags[base];
+            unsigned way = lru.victim(
+                set, [t](unsigned w) { return t[w] == InvalidTag; });
+            const bool was_free = t[way] == InvalidTag;
+            unsigned end = was_free ? way : numWays;
+            for (unsigned w = 0; w < end; ++w) {
+                if (t[w] == tag && asids[base + w] == asid) {
+                    entries[base + w] = entry;
+                    lru.touch(set, w);
+                    return;
                 }
-                if (lrus[victim] > lrus[i])
-                    victim = i;
             }
-            tags[victim] = tag;
-            asids[victim] = asid;
-            entries[victim] = entry;
-            lrus[victim] = now;
+            if (was_free)
+                lru.noteFilled(set);
+            tags[base + way] = tag;
+            asids[base + way] = asid;
+            entries[base + way] = entry;
+            lru.touch(set, way);
         }
 
         void invalidate(std::uint64_t tag); //!< all ASIDs holding tag
@@ -363,15 +371,15 @@ class TwoLevelTlb
         std::vector<std::uint64_t> tags;  //!< InvalidTag = empty slot
         std::vector<Asid> asids;
         std::vector<TlbEntry> entries;
-        std::vector<std::uint32_t> lrus;
+        LruSets lru;
     };
 
     static std::uint64_t tag4K(VirtAddr va) { return va >> PageShift; }
     static std::uint64_t tag2M(VirtAddr va) { return va >> LargePageShift; }
 
     /**
-     * Remember @p entry (just stamped in its L1 array, so the newest
-     * stamp in its set) as the lookup memo. The base/mask pair makes
+     * Remember @p entry (just touched in its L1 array, so the most
+     * recently used of its set) as the lookup memo. The base/mask pair makes
      * the memo hit test one AND+compare regardless of page size.
      */
     void
@@ -421,10 +429,9 @@ class TwoLevelTlb
     bool anyInsert_ = false;
     bool multiAsid_ = false;
     Asid asid_ = 0;
-    std::uint32_t clock = 0;
     TlbStats stats_;
     // Lookup memo (see lookup()/noteMru): decoded copy of the most
-    // recently stamped L1 entry. memoBase_ = ~0 with memoMask_ = 0 is
+    // recently used L1 entry. memoBase_ = ~0 with memoMask_ = 0 is
     // the "empty" state — no canonical address matches it.
     std::uint64_t memoBase_ = ~0ull;
     std::uint64_t memoMask_ = 0;

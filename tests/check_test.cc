@@ -148,14 +148,14 @@ TEST_F(CheckTest, StaleFrameReverseMapTrips)
     Pfn pfn = kernel.ptOps().walk(p.roots(), region.start + PageSize)
                   .leaf.pfn();
     mem::PageMeta &m = machine.physmem().meta(pfn);
-    std::uint32_t vpn = m.vpn;
-    m.vpn = vpn + 1;
+    const VirtAddr va = m.va();
+    m.setVa(va + PageSize);
     chk.checkVmaPteAgreement();
     ASSERT_EQ(countClass(chk, CheckClass::VmaPteAgreement), 1);
     EXPECT_EQ(chk.violations().front().vaStart, region.start + PageSize);
 
     // ... or another owner.
-    m.vpn = vpn;
+    m.setVa(va);
     m.owner = p.id() + 1;
     chk.clearViolations();
     chk.checkVmaPteAgreement();

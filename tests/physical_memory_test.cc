@@ -218,7 +218,27 @@ TEST_F(PhysicalMemoryTest, MigrateDataMovesSocketAndPreservesOwner)
     EXPECT_EQ(pm.meta(*fresh).owner, 5);
     EXPECT_EQ(pm.meta(*fresh).va(), 0x42000u);
     EXPECT_TRUE(pm.meta(*pfn).isFree());
-    EXPECT_EQ(pm.meta(*pfn).vpn, 0u);
+    EXPECT_EQ(pm.meta(*pfn).va(), 0u);
+}
+
+TEST_F(PhysicalMemoryTest, HighVirtualAddressRoundTrips)
+{
+    // Above 16 TiB the virtual page needs more than 32 bits; the frame
+    // metadata must keep all of it through allocation, migration and
+    // flag updates (kcompactd's relocation: ThpCompaction tests).
+    const VirtAddr va = 0x7f0000000000ull;
+    auto pfn = pm.allocData(0, 5, va);
+    ASSERT_TRUE(pfn.has_value());
+    EXPECT_EQ(pm.meta(*pfn).va(), va);
+    pm.meta(*pfn).flags = FrameFlagNone;
+    EXPECT_EQ(pm.meta(*pfn).va(), va);
+    auto moved = pm.migrateData(*pfn, 1);
+    ASSERT_TRUE(moved.has_value());
+    EXPECT_EQ(pm.meta(*moved).va(), va);
+    EXPECT_EQ(pm.meta(*pfn).va(), 0u);
+    const VirtAddr top = PageMeta::VaLimit - PageSize;
+    pm.meta(*moved).setVa(top);
+    EXPECT_EQ(pm.meta(*moved).va(), top);
 }
 
 TEST_F(PhysicalMemoryTest, MigrateLargeDataPage)

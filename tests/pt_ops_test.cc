@@ -341,5 +341,49 @@ TEST_F(PtOpsTest, ForRangeVisitsIntersectingLeavesInOrder)
     pm.freeDataLarge(*head);
 }
 
+TEST_F(PtOpsTest, ReadOnlyOpsOnACloneCopyNoTableChunk)
+{
+    // A small 4 KB tree plus one 2 MB leaf, then a copy-on-write clone
+    // of the whole machine state.
+    for (VirtAddr va = 0x40000000; va < 0x40000000 + 8 * PageSize;
+         va += PageSize) {
+        ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0, va),
+                              PteWrite | PteUser, policy, 0, nullptr));
+    }
+    auto head = pm.allocDataLarge(1, 1);
+    ASSERT_TRUE(head.has_value());
+    ASSERT_TRUE(ops.map2M(roots, 1, 0x80000000, *head, PteUser, policy, 0,
+                          nullptr));
+
+    mem::PhysicalMemory clone(topo);
+    clone.cloneStateFrom(pm);
+    pvops::NativeBackend clone_native(clone);
+    PageTableOps clone_ops(clone, clone_native);
+
+    // Every pure read: walk, tableFor (descend), forRange
+    // (forEachLeafRun), readLeaf (walk + the backend's readPte),
+    // forEachLeaf and forEachTable.
+    EXPECT_TRUE(clone_ops.walk(roots, 0x40001000).mapped);
+    EXPECT_NE(clone_ops.tableFor(roots, 0x40001000, 1), InvalidPfn);
+    unsigned leaves = 0;
+    clone_ops.forRange(roots, 0, 1ull << 40,
+                       [&](VirtAddr, PteLoc, Pte, PageSizeKind) {
+                           ++leaves;
+                       });
+    EXPECT_EQ(leaves, 9u);
+    EXPECT_TRUE(clone_ops.readLeaf(roots, 0x80000000, nullptr).mapped);
+    leaves = 0;
+    clone_ops.forEachLeaf(roots, [&](VirtAddr, PteLoc, Pte, PageSizeKind) {
+        ++leaves;
+    });
+    EXPECT_EQ(leaves, 9u);
+    unsigned tables = 0;
+    clone_ops.forEachTable(roots, [&](Pfn, int) { ++tables; });
+    EXPECT_EQ(tables, 5u);
+    EXPECT_EQ(clone.tableArenaStats().detaches, 0u);
+
+    pm.freeDataLarge(*head);
+}
+
 } // namespace
 } // namespace mitosim::pt

@@ -437,7 +437,13 @@ TEST(ThpCompaction, ReclaimsBlocksAndPreservesMappings)
     f.kernel.destroyProcess(f.proc);
 }
 
-TEST(ThpCompaction, RelocatesMappedDataThroughTheReverseMap)
+/**
+ * kcompactd drains a nearly-free block whose frames are mapped at
+ * @p base + ...: every frame it moves is found through the frame
+ * metadata reverse map and has its PTE rewritten.
+ */
+void
+expectCompactionRelocatesMappedData(VirtAddr base)
 {
     thp::ThpConfig cfg;
     cfg.kcompactd = true;
@@ -449,13 +455,13 @@ TEST(ThpCompaction, RelocatesMappedDataThroughTheReverseMap)
     // blocks). Unmapping a few pages of the first block leaves a fuller
     // partial block to take them.
     const std::uint64_t pages = 3 * FramesPerLargePage;
-    f.kernel.mmapFixed(f.proc, Base, pages * PageSize,
+    f.kernel.mmapFixed(f.proc, base, pages * PageSize,
                        MmapOptions{.populate = true});
-    f.kernel.munmap(f.proc, Base + 16 * PageSize, 16 * PageSize);
+    f.kernel.munmap(f.proc, base + 16 * PageSize, 16 * PageSize);
     std::vector<Pfn> before(pages, InvalidPfn);
     for (std::uint64_t i = 0; i < pages; ++i) {
         pt::WalkResult res =
-            f.kernel.ptOps().walk(f.proc.roots(), Base + i * PageSize);
+            f.kernel.ptOps().walk(f.proc.roots(), base + i * PageSize);
         if (res.mapped)
             before[i] = res.leaf.pfn();
     }
@@ -466,7 +472,7 @@ TEST(ThpCompaction, RelocatesMappedDataThroughTheReverseMap)
     unsigned moved = 0;
     for (std::uint64_t i = 0; i < pages; ++i) {
         pt::WalkResult res =
-            f.kernel.ptOps().walk(f.proc.roots(), Base + i * PageSize);
+            f.kernel.ptOps().walk(f.proc.roots(), base + i * PageSize);
         ASSERT_EQ(res.mapped, before[i] != InvalidPfn) << i;
         if (!res.mapped)
             continue;
@@ -481,6 +487,19 @@ TEST(ThpCompaction, RelocatesMappedDataThroughTheReverseMap)
     EXPECT_GT(moved, 0u);
     EXPECT_EQ(moved, ts.compactionPagesMoved);
     f.kernel.destroyProcess(f.proc);
+}
+
+TEST(ThpCompaction, RelocatesMappedDataThroughTheReverseMap)
+{
+    expectCompactionRelocatesMappedData(Base);
+}
+
+TEST(ThpCompaction, RelocatesDataMappedAboveSixteenTiB)
+{
+    // 0x7f0000000000 >> 12 needs 35 bits: the reverse map must keep
+    // the whole virtual page, or the confirm walk misses and the frame
+    // counts as unmovable.
+    expectCompactionRelocatesMappedData(0x7f0000000000ull);
 }
 
 TEST(ThpCompaction, MakesCollapsePossibleAgain)
